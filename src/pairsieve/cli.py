@@ -184,8 +184,10 @@ def cmd_goldbach(args: argparse.Namespace, config: RunConfig) -> int:
     n = args.n
     interval = _parse_interval(args.interval, n)
     table = oracle.build_prime_table(max(math.isqrt(n), 2))
-    counts = xi.pair_counts(n, table, interval)
-    pairs = xi.prime_pair_list(n, table, interval) if (args.list_pairs or args.oracle_check) else None
+    if args.list_pairs or args.oracle_check:
+        counts, pairs = xi.pair_counts_and_list(n, table, interval)
+    else:
+        counts, pairs = xi.pair_counts(n, table, interval), None
 
     a, b = counts.interval
     if config.format == "human":
@@ -423,6 +425,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a failed internal cross-check
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     finally:
         if opened is not None:
             opened.close()

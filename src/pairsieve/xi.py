@@ -17,6 +17,7 @@ analytic lower bound (n - 4*sqrt(n)) / ln^2(n - sqrt(n)).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Iterator, NamedTuple, Sequence
@@ -47,15 +48,18 @@ __all__ = [
     "tilde_composite_pairs_ie",
     "pair_counts",
     "prime_pair_list",
+    "pair_counts_and_list",
     "bound_value",
     "check_bound",
     "scan_bounds",
     "iter_pair_counts",
 ]
 
-#: Positions per sieve segment; cache-resident, and results are identical
-#: for any block size >= 1.
-DEFAULT_BLOCK = 1 << 16
+#: Positions per sieve segment, clipped to the interval length. The cost
+#: of a segment is Python overhead per slice assignment (two per prime),
+#: not memory bandwidth, so large segments win; 2^20 was fastest in a
+#: sweep at n near 2e7 and 1e8. Results are identical for any size >= 1.
+DEFAULT_BLOCK = 1 << 20
 
 ONE = "one"
 PRIME = "prime"
@@ -225,59 +229,91 @@ def classify_pair(x: int, n: int) -> PairClass:
 
 
 # ---------------------------------------------------------------------------
-# segmented marking cores
+# the segment kernel and the hat cross-check
 # ---------------------------------------------------------------------------
 
 
-def _survivor_blocks(
+def _segments(
     a: int, b: int, ps: Sequence[int], ms: Sequence[int], block_size: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (lo, forbidden_mask) per segment. The mask is a view into a
-    reused scratch buffer: consume it before advancing the iterator."""
-    scratch = np.empty(block_size, dtype=bool)
-    lo = a
-    while lo <= b:
-        hi = min(lo + block_size - 1, b)
-        mask = scratch[: hi - lo + 1]
-        mask[:] = False
-        for p, m in zip(ps, ms):
-            mask[(-lo) % p :: p] = True
-            if m:
-                mask[(m - lo) % p :: p] = True
-        yield lo, mask
-        lo = hi + 1
+) -> Iterator[tuple[int, np.ndarray, int, int]]:
+    """Yield (lo, marked, hat, composite) per segment of [a, b].
+
+    One bool buffer per segment: class 0 of the primes dividing n
+    (m == 0) is marked first and counted as the segment's hat, then
+    classes 0 and m of the other primes are marked on top and the total
+    is hat + tilde. Survivors are the unmarked positions. ``marked`` is
+    a view of a reused buffer: consume it before advancing.
+    """
+    if block_size < 1:
+        raise ValueError(f"block_size must be >= 1, got {block_size}")
+    dividing = [p for p, m in zip(ps, ms) if m == 0]
+    others = [(p, m) for p, m in zip(ps, ms) if m != 0]
+    buf = np.empty(min(block_size, b - a + 1), dtype=bool)
+    for lo in range(a, b + 1, buf.size):
+        marked = buf[: min(buf.size, b - lo + 1)]
+        marked[:] = False
+        for p in dividing:
+            marked[(-lo) % p :: p] = True
+        hat = int(np.count_nonzero(marked))
+        for p, m in others:
+            marked[(-lo) % p :: p] = True
+            marked[(m - lo) % p :: p] = True
+        yield lo, marked, hat, int(np.count_nonzero(marked))
 
 
-def _classified_blocks(
+def _hat_inclusion_exclusion(dividing: Sequence[int], a: int, b: int) -> int:
+    """Positions of [a, b] divisible by some prime of ``dividing``, by
+    signed subset products."""
+    total = 0
+    for prod, k in subset_products(dividing, b):
+        total += (1 if k % 2 else -1) * count_multiples(a, b, prod)
+    return total
+
+
+def _sieve(
+    n: int,
     a: int,
     b: int,
-    div_ps: Sequence[int],
-    nd_ps: Sequence[int],
-    nd_ms: Sequence[int],
+    ps: Sequence[int],
+    ms: Sequence[int],
     block_size: int,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (lo, hat_mask, nondividing_mask) per segment; scratch-backed."""
-    scratch_hat = np.empty(block_size, dtype=bool)
-    scratch_oth = np.empty(block_size, dtype=bool)
-    lo = a
-    while lo <= b:
-        hi = min(lo + block_size - 1, b)
-        span = hi - lo + 1
-        hat = scratch_hat[:span]
-        oth = scratch_oth[:span]
-        hat[:] = False
-        oth[:] = False
-        for p in div_ps:
-            hat[(-lo) % p :: p] = True
-        for p, m in zip(nd_ps, nd_ms):
-            oth[(-lo) % p :: p] = True
-            oth[(m - lo) % p :: p] = True
-        yield lo, hat, oth
-        lo = hi + 1
+    with_list: bool,
+) -> tuple[PairCounts, list[int] | None]:
+    """One kernel pass over [a, b]: the partition and, if asked, the
+    ascending survivors. The marked hat count is re-derived by
+    inclusion-exclusion; a disagreement means a broken sieve and raises."""
+    hat = composite = 0
+    survivors: list[int] | None = [] if with_list else None
+    for lo, marked, seg_hat, seg_composite in _segments(a, b, ps, ms, block_size):
+        hat += seg_hat
+        composite += seg_composite
+        if survivors is not None:
+            survivors.extend((np.flatnonzero(np.logical_not(marked, out=marked)) + lo).tolist())
+    ie = _hat_inclusion_exclusion([p for p, m in zip(ps, ms) if m == 0], a, b)
+    if hat != ie:
+        raise RuntimeError(f"hat marking {hat} != inclusion-exclusion {ie} for n={n}")
+    length = b - a + 1
+    counts = PairCounts(
+        n=n,
+        interval=(a, b),
+        length=length,
+        hat=hat,
+        tilde=composite - hat,
+        composite_pairs=composite,
+        prime_pairs=length - composite,
+    )
+    return counts, survivors
 
 
 def _entry_arrays(basis: ResidueBasis) -> tuple[list[int], list[int]]:
     return [e.p for e in basis.entries], [e.m for e in basis.entries]
+
+
+def _sieve_basis(
+    basis: ResidueBasis, block_size: int, with_list: bool
+) -> tuple[PairCounts, list[int] | None]:
+    ps, ms = _entry_arrays(basis)
+    return _sieve(basis.n, basis.a, basis.b, ps, ms, block_size, with_list)
 
 
 def double_sieve(basis: ResidueBasis, block_size: int = DEFAULT_BLOCK) -> np.ndarray:
@@ -287,22 +323,12 @@ def double_sieve(basis: ResidueBasis, block_size: int = DEFAULT_BLOCK) -> np.nda
     factor <= sqrt(n). Working memory is one block plus the basis,
     independent of n; the result itself spans the interval.
     """
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
     ps, ms = _entry_arrays(basis)
     out = np.empty(basis.length, dtype=bool)
     a = basis.a
-    for lo, mask in _survivor_blocks(a, basis.b, ps, ms, block_size):
-        np.logical_not(mask, out=out[lo - a : lo - a + mask.size])
+    for lo, marked, _, _ in _segments(a, basis.b, ps, ms, block_size):
+        np.logical_not(marked, out=out[lo - a : lo - a + marked.size])
     return out
-
-
-def _hat_inclusion_exclusion(basis: ResidueBasis) -> int:
-    a, b = basis.interval
-    total = 0
-    for prod, k in subset_products(basis.dividing, b):
-        total += (1 if k % 2 else -1) * count_multiples(a, b, prod)
-    return total
 
 
 def hat_composite_pairs(basis: ResidueBasis, block_size: int = DEFAULT_BLOCK) -> int:
@@ -311,48 +337,29 @@ def hat_composite_pairs(basis: ResidueBasis, block_size: int = DEFAULT_BLOCK) ->
     The same count is recomputed by signed subset products over the
     dividing primes; a disagreement means a broken sieve and raises.
     """
-    div = list(basis.dividing)
-    marked = 0
-    for _, hat, _oth in _classified_blocks(basis.a, basis.b, div, (), (), block_size):
-        marked += int(np.count_nonzero(hat))
-    ie = _hat_inclusion_exclusion(basis)
-    if marked != ie:
-        raise RuntimeError(f"hat marking {marked} != inclusion-exclusion {ie} for n={basis.n}")
-    return marked
+    return _sieve_basis(basis, block_size, with_list=False)[0].hat
 
 
 def tilde_composite_pairs(basis: ResidueBasis, block_size: int = DEFAULT_BLOCK) -> int:
     """Positions missed by every dividing prime but hit through some
     non-dividing prime's class 0 or class m. Marking implementation."""
-    div = list(basis.dividing)
-    nd_ps = [e.p for e in basis.nondividing]
-    nd_ms = [e.m for e in basis.nondividing]
-    total = 0
-    for _, hat, oth in _classified_blocks(basis.a, basis.b, div, nd_ps, nd_ms, block_size):
-        total += int(np.count_nonzero(oth & ~hat))
-    return total
+    return _sieve_basis(basis, block_size, with_list=False)[0].tilde
 
 
 # ---------------------------------------------------------------------------
 # exact inclusion-exclusion cross-check for the tilde count
 # ---------------------------------------------------------------------------
 
-_INV_CACHE: dict[int, np.ndarray] = {}
-
 
 def _inverse_table(p: int) -> np.ndarray:
-    tab = _INV_CACHE.get(p)
-    if tab is None:
-        tab = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
-        _INV_CACHE[p] = tab
-    return tab
+    return np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
 
 
 def _union_count(
-    nd: Sequence[tuple[int, int]], a: int, b: int, base_mod: int
+    nd: Sequence[tuple[int, int, np.ndarray]], a: int, b: int, base_mod: int
 ) -> int:
     """Exact count of x in [a, b] with x ≡ 0 (mod base_mod) lying in at
-    least one class {0, m} of the given (p, m) pairs.
+    least one class {0, m} of the given (p, m, inverse table of p).
 
     Signed sum over class systems: every node of the search is one
     residue class (CRT of at most one class choice per prime). A class
@@ -365,8 +372,7 @@ def _union_count(
     residues = np.array([0], dtype=np.int64)
     signs = np.array([-1], dtype=np.int64)  # root: empty selection
     total = 0
-    for p, m in nd:
-        inv = _inverse_table(p)
+    for p, m, inv in nd:
         cur_m, cur_r, cur_s = mods, residues, signs
         ext_m = cur_m * p
         inv_cur = inv[cur_m % p]
@@ -398,7 +404,7 @@ def tilde_composite_pairs_ie(basis: ResidueBasis) -> int:
     with ``tilde_composite_pairs`` identically; intended for cross-checks
     at moderate n.
     """
-    nd = [(e.p, e.m) for e in basis.nondividing]
+    nd = [(e.p, e.m, _inverse_table(e.p)) for e in basis.nondividing]
     if not nd:
         return 0
     a, b = basis.interval
@@ -424,27 +430,7 @@ def pair_counts(
     One segmented pass computes all three counts; the hat count is then
     re-derived by inclusion-exclusion as a consistency check.
     """
-    basis = make_residue_basis(n, table, interval)
-    div = list(basis.dividing)
-    nd_ps = [e.p for e in basis.nondividing]
-    nd_ms = [e.m for e in basis.nondividing]
-    hat = tilde = 0
-    for _, hat_mask, oth in _classified_blocks(basis.a, basis.b, div, nd_ps, nd_ms, block_size):
-        hat += int(np.count_nonzero(hat_mask))
-        tilde += int(np.count_nonzero(oth & ~hat_mask))
-    ie = _hat_inclusion_exclusion(basis)
-    if hat != ie:
-        raise RuntimeError(f"hat marking {hat} != inclusion-exclusion {ie} for n={n}")
-    length = basis.length
-    return PairCounts(
-        n=n,
-        interval=basis.interval,
-        length=length,
-        hat=hat,
-        tilde=tilde,
-        composite_pairs=hat + tilde,
-        prime_pairs=length - hat - tilde,
-    )
+    return _sieve_basis(make_residue_basis(n, table, interval), block_size, False)[0]
 
 
 def prime_pair_list(
@@ -455,21 +441,17 @@ def prime_pair_list(
 ) -> list[int]:
     """Ascending survivors of the double sieve: every x with x and n - x
     prime over the interval."""
-    basis = make_residue_basis(n, table, interval)
-    ps, ms = _entry_arrays(basis)
-    out: list[int] = []
-    for lo, mask in _survivor_blocks(basis.a, basis.b, ps, ms, block_size):
-        out.extend((np.flatnonzero(~mask) + lo).tolist())
-    return out
+    return _sieve_basis(make_residue_basis(n, table, interval), block_size, True)[1]
 
 
-def _survivor_count_raw(
-    a: int, b: int, ps: Sequence[int], ms: Sequence[int], block_size: int
-) -> int:
-    total = 0
-    for _, mask in _survivor_blocks(a, b, ps, ms, block_size):
-        total += mask.size - int(np.count_nonzero(mask))
-    return total
+def pair_counts_and_list(
+    n: int,
+    table: PrimeTable,
+    interval: tuple[int, int] | None = None,
+    block_size: int = DEFAULT_BLOCK,
+) -> tuple[PairCounts, list[int]]:
+    """``pair_counts`` and ``prime_pair_list`` from a single sieve pass."""
+    return _sieve_basis(make_residue_basis(n, table, interval), block_size, True)
 
 
 def bound_value(n: int) -> float:
@@ -480,70 +462,40 @@ def bound_value(n: int) -> float:
     return (n - 4.0 * root) / math.log(n - root) ** 2
 
 
+def _bound_report(counts: PairCounts) -> BoundReport:
+    bound = bound_value(counts.n)
+    pairs = counts.prime_pairs
+    return BoundReport(
+        n=counts.n, prime_pairs=pairs, bound=bound, margin=pairs - bound, holds=pairs > bound
+    )
+
+
 def check_bound(
     n: int, table: PrimeTable, block_size: int = DEFAULT_BLOCK
 ) -> BoundReport:
     """Compare the sieved prime-pair count of n against the lower bound."""
-    bound = bound_value(n)
-    basis = make_residue_basis(n, table)
-    ps, ms = _entry_arrays(basis)
-    pairs = _survivor_count_raw(basis.a, basis.b, ps, ms, block_size)
-    return BoundReport(
-        n=n, prime_pairs=pairs, bound=bound, margin=pairs - bound, holds=pairs > bound
-    )
+    return _bound_report(pair_counts(n, table, block_size=block_size))
 
 
 # ---------------------------------------------------------------------------
 # scanning (optionally parallel over n; output order is always ascending)
 # ---------------------------------------------------------------------------
 
-_WORKER_PRIMES: np.ndarray | None = None
+
+def _primes_upto(primes: np.ndarray, limit: int) -> np.ndarray:
+    return primes[: int(np.searchsorted(primes, limit, side="right"))]
 
 
-def _scan_init(limit: int) -> None:
-    global _WORKER_PRIMES
-    _WORKER_PRIMES = build_prime_table(limit).primes
-
-
-def _basis_arrays_from_primes(
-    n: int, primes: np.ndarray
-) -> tuple[int, int, list[int], list[int]]:
+def _counts_from_primes(n: int, primes: np.ndarray, block_size: int) -> PairCounts:
     a, b = default_interval(n)
-    cut = int(np.searchsorted(primes, math.isqrt(n), side="right"))
-    ps = primes[:cut]
-    ms = n % ps
-    return a, b, ps.tolist(), ms.tolist()
+    ps = _primes_upto(primes, math.isqrt(n))
+    return _sieve(n, a, b, ps.tolist(), (n % ps).tolist(), block_size, False)[0]
 
 
-def _scan_survivors_span(span: tuple[int, int, int, int]) -> list[tuple[int, int]]:
-    start, end, step, block_size = span
-    out = []
-    for n in range(start, end + 1, step):
-        a, b, ps, ms = _basis_arrays_from_primes(n, _WORKER_PRIMES)
-        out.append((n, _survivor_count_raw(a, b, ps, ms, block_size)))
-    return out
-
-
-def _scan_classified_span(
-    span: tuple[int, int, int, int]
-) -> list[tuple[int, int, int, int, int]]:
-    start, end, step, block_size = span
-    out = []
-    for n in range(start, end + 1, step):
-        a, b, ps, ms = _basis_arrays_from_primes(n, _WORKER_PRIMES)
-        div = [p for p, m in zip(ps, ms) if m == 0]
-        nd_ps = [p for p, m in zip(ps, ms) if m != 0]
-        nd_ms = [m for m in ms if m != 0]
-        hat = tilde = 0
-        for _, hat_mask, oth in _classified_blocks(a, b, div, nd_ps, nd_ms, block_size):
-            hat += int(np.count_nonzero(hat_mask))
-            tilde += int(np.count_nonzero(oth & ~hat_mask))
-        ie = sum((1 if k % 2 else -1) * count_multiples(a, b, prod)
-                 for prod, k in subset_products(div, b))
-        if hat != ie:
-            raise RuntimeError(f"hat marking {hat} != inclusion-exclusion {ie} for n={n}")
-        out.append((n, a, b, hat, tilde))
-    return out
+def _counts_span(span: tuple[int, int, int, int, np.ndarray]) -> list[PairCounts]:
+    """Pool task: every n of one span, with the primes it needs passed in."""
+    start, end, step, block_size, primes = span
+    return [_counts_from_primes(n, primes, block_size) for n in range(start, end + 1, step)]
 
 
 def _spans(start: int, end: int, step: int, chunk: int) -> Iterator[tuple[int, int, int]]:
@@ -561,18 +513,10 @@ def _chunk_size(start: int, end: int, step: int, workers: int) -> int:
     return max(16, min(512, total // (workers * 4) or 1))
 
 
-def _parallel_spans(
-    start: int,
-    end: int,
-    step: int,
-    workers: int,
-    block_size: int,
-    worker_fn,
-) -> Iterator[list]:
-    chunk = _chunk_size(start, end, step, workers)
-    spans = [(lo, hi, st, block_size) for lo, hi, st in _spans(start, end, step, chunk)]
-    with Pool(workers, initializer=_scan_init, initargs=(max(math.isqrt(end), 2),)) as pool:
-        yield from pool.imap(worker_fn, spans)
+def _pool_size(workers: int) -> int:
+    """Worker processes actually started: more than one per CPU only
+    adds contention, so the request is clamped, never rejected."""
+    return max(1, min(workers, os.cpu_count() or 1))
 
 
 def _validate_scan_range(start: int, end: int, step: int, minimum: int) -> None:
@@ -599,22 +543,8 @@ def scan_bounds(
     the stream for the aggregate (minimum margin, violation count).
     """
     _validate_scan_range(start, end, step, minimum=26)
-
-    def report(n: int, pairs: int) -> BoundReport:
-        bound = bound_value(n)
-        return BoundReport(
-            n=n, prime_pairs=pairs, bound=bound, margin=pairs - bound, holds=pairs > bound
-        )
-
-    if workers <= 1:
-        primes = build_prime_table(max(math.isqrt(end), 2)).primes
-        for n in range(start, end + 1, step):
-            a, b, ps, ms = _basis_arrays_from_primes(n, primes)
-            yield report(n, _survivor_count_raw(a, b, ps, ms, block_size))
-        return
-    for chunk in _parallel_spans(start, end, step, workers, block_size, _scan_survivors_span):
-        for n, pairs in chunk:
-            yield report(n, pairs)
+    for counts in iter_pair_counts(start, end, step, workers=workers, block_size=block_size):
+        yield _bound_report(counts)
 
 
 def iter_pair_counts(
@@ -628,25 +558,15 @@ def iter_pair_counts(
     """PairCounts for every even n in [start, end], ascending; parallel-safe
     in the same way as ``scan_bounds``. Minimum start is 8."""
     _validate_scan_range(start, end, step, minimum=8)
-
-    def build(n: int, a: int, b: int, hat: int, tilde: int) -> PairCounts:
-        length = b - a + 1
-        return PairCounts(
-            n=n,
-            interval=(a, b),
-            length=length,
-            hat=hat,
-            tilde=tilde,
-            composite_pairs=hat + tilde,
-            prime_pairs=length - hat - tilde,
-        )
-
+    primes = build_prime_table(max(math.isqrt(end), 2)).primes
     if workers <= 1:
-        _scan_init(max(math.isqrt(end), 2))
-        for chunk_span in _spans(start, end, step, 512):
-            for item in _scan_classified_span((*chunk_span, block_size)):
-                yield build(*item)
+        for n in range(start, end + 1, step):
+            yield _counts_from_primes(n, primes, block_size)
         return
-    for chunk in _parallel_spans(start, end, step, workers, block_size, _scan_classified_span):
-        for item in chunk:
-            yield build(*item)
+    workers = _pool_size(workers)
+    chunk = _chunk_size(start, end, step, workers)
+    spans = [(lo, hi, st, block_size, _primes_upto(primes, math.isqrt(hi)))
+             for lo, hi, st in _spans(start, end, step, chunk)]
+    with Pool(workers) as pool:
+        for counts in pool.imap(_counts_span, spans):
+            yield from counts

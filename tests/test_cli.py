@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from pairsieve import build_prime_table, goldbach_pairs_oracle, pair_counts, prime_pair_list, xi
 from pairsieve.cli import main
 
 
@@ -71,6 +72,21 @@ class TestGoldbach:
         record = json.loads(out)
         assert record["prime_pairs"] == 10
         assert record["x"] == [11, 17, 29, 41, 47, 53, 59, 71, 83, 89]
+
+    @pytest.mark.parametrize("n,spec", [(30030, "auto"), (2 * 4999, "auto"), (1000, "100:900")])
+    def test_json_list_is_one_consistent_pass(self, capsys, n, spec):
+        code, out, _ = run(capsys, "goldbach", str(n), "--list", "--emit", "json",
+                           "--interval", spec, "--oracle-check")
+        assert code == 0
+        record = json.loads(out)
+        table = build_prime_table(n)
+        interval = None if spec == "auto" else (100, 900)
+        counts = pair_counts(n, table, interval)
+        assert (record["a"], record["b"]) == counts.interval
+        assert (record["hat"], record["tilde"], record["prime_pairs"]) == \
+            (counts.hat, counts.tilde, counts.prime_pairs)
+        assert record["x"] == prime_pair_list(n, table, interval)
+        assert record["x"] == goldbach_pairs_oracle(table, n, counts.interval)
 
     def test_csv_schema(self, capsys):
         code, out, _ = run(capsys, "goldbach", "100", "--emit", "csv")
@@ -156,6 +172,16 @@ class TestSelftest:
         code, _, _ = run(capsys, "selftest", "--max-n", "200", "--mode", "float",
                          "--epsilon", "1e-8")
         assert code == 0
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [("goldbach", "100"), ("goldbach", "100", "--list"),
+                                      ("scan-bound", "100", "104")])
+    def test_failed_cross_check_exits_1(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(xi, "_hat_inclusion_exclusion", lambda *args: -1)
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: hat marking") and "Traceback" not in err
 
 
 class TestUsage:

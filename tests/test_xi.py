@@ -28,6 +28,7 @@ from pairsieve import (
     tilde_composite_pairs_ie,
     xi_identity,
 )
+from pairsieve import xi
 from pairsieve.xi import ResidueBasis, ResidueEntry
 
 GOLDEN_100 = [11, 17, 29, 41, 47, 53, 59, 71, 83, 89]
@@ -150,11 +151,21 @@ class TestDoubleSieve:
             expected = all(x % p != 0 and x % p != m for p, m, _ in basis.entries)
             assert bool(survivors[i]) == expected, x
 
-    def test_block_size_transparency(self, table_20k):
-        basis = make_residue_basis(1000, table_20k)
+    # n = 30030*m has the seven smallest primes dividing it (hat-heavy),
+    # n = 2q only 2 (tilde-heavy); the third case overrides the interval
+    @pytest.mark.parametrize("n,interval", [(30030, None), (2 * 4999, None),
+                                            (30030 * 7, (1000, 4000))])
+    def test_block_size_transparency(self, table_20k, n, interval):
+        basis = make_residue_basis(n, table_20k, interval)
         reference = double_sieve(basis)
-        for block in (1, 2, 3, 17, 64, 1001, 10**6):
+        counts = pair_counts(n, table_20k, interval)
+        pairs = prime_pair_list(n, table_20k, interval)
+        assert pairs == (np.flatnonzero(reference) + basis.a).tolist()
+        assert counts.prime_pairs == len(pairs)
+        for block in (1, 2, 3, 17, 64, 1001, 1 << 20):
             assert np.array_equal(double_sieve(basis, block_size=block), reference)
+            assert pair_counts(n, table_20k, interval, block_size=block) == counts
+            assert prime_pair_list(n, table_20k, interval, block_size=block) == pairs
 
     def test_bad_block_size(self, table_20k):
         with pytest.raises(ValueError):
@@ -370,6 +381,21 @@ class TestIterPairCounts:
     def test_parallel_matches_serial(self):
         assert list(iter_pair_counts(500, 700, 2, workers=4)) == \
             list(iter_pair_counts(500, 700, 2))
+
+    def test_interleaved_generators_are_independent(self, table_20k):
+        # a second scan started while the first is suspended must not
+        # change the primes the first one sieves with
+        first = iter_pair_counts(10000, 12000)
+        head = next(first)
+        list(iter_pair_counts(8, 20))
+        streamed = [head, *first]
+        assert streamed == [pair_counts(n, table_20k) for n in range(10000, 12001, 2)]
+
+    def test_pool_size_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(xi.os, "cpu_count", lambda: 2)
+        assert [xi._pool_size(k) for k in (1, 2, 8, 10**6)] == [1, 2, 2, 2]
+        monkeypatch.setattr(xi.os, "cpu_count", lambda: None)
+        assert xi._pool_size(8) == 1
 
 
 class TestLargeInterval:
