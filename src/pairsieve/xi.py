@@ -234,20 +234,22 @@ def classify_pair(x: int, n: int) -> PairClass:
 
 
 def _segments(
-    a: int, b: int, ps: Sequence[int], ms: Sequence[int], block_size: int
+    a: int,
+    b: int,
+    dividing: Sequence[int],
+    others: Sequence[tuple[int, int]],
+    block_size: int,
 ) -> Iterator[tuple[int, np.ndarray, int, int]]:
     """Yield (lo, marked, hat, composite) per segment of [a, b].
 
-    One bool buffer per segment: class 0 of the primes dividing n
-    (m == 0) is marked first and counted as the segment's hat, then
-    classes 0 and m of the other primes are marked on top and the total
-    is hat + tilde. Survivors are the unmarked positions. ``marked`` is
-    a view of a reused buffer: consume it before advancing.
+    One bool buffer per segment: class 0 of the primes dividing n is
+    marked first and counted as the segment's hat, then classes 0 and m
+    of the other (p, m) are marked on top and the total is hat + tilde.
+    Survivors are the unmarked positions. ``marked`` is a view of a
+    reused buffer: consume it before advancing.
     """
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
-    dividing = [p for p, m in zip(ps, ms) if m == 0]
-    others = [(p, m) for p, m in zip(ps, ms) if m != 0]
     buf = np.empty(min(block_size, b - a + 1), dtype=bool)
     for lo in range(a, b + 1, buf.size):
         marked = buf[: min(buf.size, b - lo + 1)]
@@ -259,6 +261,11 @@ def _segments(
             marked[(-lo) % p :: p] = True
             marked[(m - lo) % p :: p] = True
         yield lo, marked, hat, int(np.count_nonzero(marked))
+
+
+def _unmarked(lo: int, marked: np.ndarray) -> list[int]:
+    """The x values a segment leaves unmarked; inverts ``marked`` in place."""
+    return (np.flatnonzero(np.logical_not(marked, out=marked)) + lo).tolist()
 
 
 def _hat_inclusion_exclusion(dividing: Sequence[int], a: int, b: int) -> int:
@@ -274,8 +281,8 @@ def _sieve(
     n: int,
     a: int,
     b: int,
-    ps: Sequence[int],
-    ms: Sequence[int],
+    dividing: Sequence[int],
+    others: Sequence[tuple[int, int]],
     block_size: int,
     with_list: bool,
 ) -> tuple[PairCounts, list[int] | None]:
@@ -284,12 +291,12 @@ def _sieve(
     inclusion-exclusion; a disagreement means a broken sieve and raises."""
     hat = composite = 0
     survivors: list[int] | None = [] if with_list else None
-    for lo, marked, seg_hat, seg_composite in _segments(a, b, ps, ms, block_size):
+    for lo, marked, seg_hat, seg_composite in _segments(a, b, dividing, others, block_size):
         hat += seg_hat
         composite += seg_composite
         if survivors is not None:
-            survivors.extend((np.flatnonzero(np.logical_not(marked, out=marked)) + lo).tolist())
-    ie = _hat_inclusion_exclusion([p for p, m in zip(ps, ms) if m == 0], a, b)
+            survivors.extend(_unmarked(lo, marked))
+    ie = _hat_inclusion_exclusion(dividing, a, b)
     if hat != ie:
         raise RuntimeError(f"hat marking {hat} != inclusion-exclusion {ie} for n={n}")
     length = b - a + 1
@@ -305,15 +312,14 @@ def _sieve(
     return counts, survivors
 
 
-def _entry_arrays(basis: ResidueBasis) -> tuple[list[int], list[int]]:
-    return [e.p for e in basis.entries], [e.m for e in basis.entries]
+def _split(basis: ResidueBasis) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    return basis.dividing, [(e.p, e.m) for e in basis.nondividing]
 
 
 def _sieve_basis(
     basis: ResidueBasis, block_size: int, with_list: bool
 ) -> tuple[PairCounts, list[int] | None]:
-    ps, ms = _entry_arrays(basis)
-    return _sieve(basis.n, basis.a, basis.b, ps, ms, block_size, with_list)
+    return _sieve(basis.n, basis.a, basis.b, *_split(basis), block_size, with_list)
 
 
 def double_sieve(basis: ResidueBasis, block_size: int = DEFAULT_BLOCK) -> np.ndarray:
@@ -323,10 +329,9 @@ def double_sieve(basis: ResidueBasis, block_size: int = DEFAULT_BLOCK) -> np.nda
     factor <= sqrt(n). Working memory is one block plus the basis,
     independent of n; the result itself spans the interval.
     """
-    ps, ms = _entry_arrays(basis)
     out = np.empty(basis.length, dtype=bool)
     a = basis.a
-    for lo, marked, _, _ in _segments(a, basis.b, ps, ms, block_size):
+    for lo, marked, _, _ in _segments(a, basis.b, *_split(basis), block_size):
         np.logical_not(marked, out=out[lo - a : lo - a + marked.size])
     return out
 
@@ -441,7 +446,11 @@ def prime_pair_list(
 ) -> list[int]:
     """Ascending survivors of the double sieve: every x with x and n - x
     prime over the interval."""
-    return _sieve_basis(make_residue_basis(n, table, interval), block_size, True)[1]
+    basis = make_residue_basis(n, table, interval)
+    out: list[int] = []
+    for lo, marked, _, _ in _segments(basis.a, basis.b, *_split(basis), block_size):
+        out.extend(_unmarked(lo, marked))
+    return out
 
 
 def pair_counts_and_list(
@@ -489,7 +498,9 @@ def _primes_upto(primes: np.ndarray, limit: int) -> np.ndarray:
 def _counts_from_primes(n: int, primes: np.ndarray, block_size: int) -> PairCounts:
     a, b = default_interval(n)
     ps = _primes_upto(primes, math.isqrt(n))
-    return _sieve(n, a, b, ps.tolist(), (n % ps).tolist(), block_size, False)[0]
+    ms = n % ps
+    others = list(zip(ps[ms != 0].tolist(), ms[ms != 0].tolist()))
+    return _sieve(n, a, b, ps[ms == 0].tolist(), others, block_size, False)[0]
 
 
 def _counts_span(span: tuple[int, int, int, int, np.ndarray]) -> list[PairCounts]:
