@@ -45,6 +45,7 @@ from .xi import (
     ResidueBasis,
     ResidueEntry,
     ScanSummary,
+    bound_report,
     bound_value,
     check_bound,
     classify_pair,

@@ -50,6 +50,7 @@ __all__ = [
     "prime_pair_list",
     "pair_counts_and_list",
     "bound_value",
+    "bound_report",
     "check_bound",
     "scan_bounds",
     "iter_pair_counts",
@@ -471,7 +472,9 @@ def bound_value(n: int) -> float:
     return (n - 4.0 * root) / math.log(n - root) ** 2
 
 
-def _bound_report(counts: PairCounts) -> BoundReport:
+def bound_report(counts: PairCounts) -> BoundReport:
+    """Compare one n's prime-pair count against ``bound_value``:
+    margin = prime_pairs - bound, and the bound holds when margin > 0."""
     bound = bound_value(counts.n)
     pairs = counts.prime_pairs
     return BoundReport(
@@ -483,7 +486,7 @@ def check_bound(
     n: int, table: PrimeTable, block_size: int = DEFAULT_BLOCK
 ) -> BoundReport:
     """Compare the sieved prime-pair count of n against the lower bound."""
-    return _bound_report(pair_counts(n, table, block_size=block_size))
+    return bound_report(pair_counts(n, table, block_size=block_size))
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +558,7 @@ def scan_bounds(
     """
     _validate_scan_range(start, end, step, minimum=26)
     for counts in iter_pair_counts(start, end, step, workers=workers, block_size=block_size):
-        yield _bound_report(counts)
+        yield bound_report(counts)
 
 
 def iter_pair_counts(

@@ -8,6 +8,8 @@ import math
 import random
 import time
 
+import pytest
+
 from pairsieve import (
     PRIME_METHODS,
     build_prime_table,
@@ -174,6 +176,7 @@ def test_criterion_4_float_exact_agreement():
     _report("criterion 4 (float/exact agreement)", failures, f"{elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_5_tilde_cross_check(table_20k):
     failures = []
 
@@ -192,6 +195,7 @@ def test_criterion_5_tilde_cross_check(table_20k):
             f"{elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_6_bound_scan():
     failures = []
     start = time.perf_counter()

@@ -1,11 +1,17 @@
+import argparse
+import dataclasses
 import json
+import re
 import subprocess
 import sys
+import types
 
 import pytest
 
-from pairsieve import build_prime_table, goldbach_pairs_oracle, pair_counts, prime_pair_list, xi
-from pairsieve.cli import main
+from pairsieve import (
+    build_prime_table, cli, goldbach_pairs_oracle, pair_counts, prime_pair_list, xi,
+)
+from pairsieve.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -169,9 +175,28 @@ class TestSelftest:
         assert code == 2
 
     def test_float_mode(self, capsys):
-        code, _, _ = run(capsys, "selftest", "--max-n", "200", "--mode", "float",
-                         "--epsilon", "1e-8")
+        code, _, _ = run(capsys, "selftest", "--max-n", "200", "--epsilon", "1e-8")
         assert code == 0
+
+    def test_epsilon_outside_guard_rejected(self, capsys):
+        code, out, err = run(capsys, "selftest", "--max-n", "100", "--epsilon", "1e-2")
+        assert code == 2 and out == "" and "epsilon" in err
+
+    def test_symmetry_reads_the_basis_residues(self, capsys, monkeypatch):
+        # the residue basis the selftest sees is off by one in every class
+        # m >= 2; the sieve itself keeps the true basis, so only the
+        # symmetry suite's class-count check can notice
+        def shifted(n, table, interval=None):
+            basis = xi.make_residue_basis(n, table, interval)
+            entries = tuple(e._replace(m=e.m - 1) if e.m >= 2 else e for e in basis.entries)
+            return dataclasses.replace(basis, entries=entries)
+
+        monkeypatch.setattr(cli, "xi", types.SimpleNamespace(
+            **{**vars(xi), "make_residue_basis": shifted}))
+        code, out, _ = run(capsys, "selftest", "--max-n", "100")
+        assert code == 1
+        assert re.search(r"^oracle-equivalence: \d+ checks, 0 failures \[ok\]$", out, re.M)
+        assert re.search(r"^symmetry: \d+ checks, [1-9]\d* failures \[FAIL\]$", out, re.M)
 
 
 class TestExitCodes:
@@ -192,8 +217,35 @@ class TestUsage:
         assert run(capsys)[0] == 2
 
     def test_bad_workers(self, capsys):
-        code, _, _ = run(capsys, "primecount", "10", "--workers", "0")
-        assert code == 2
+        code, _, err = run(capsys, "scan-bound", "100", "104", "--workers", "0")
+        assert code == 2 and "--workers" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("primecount", "10", "--mode", "float"),
+        ("composites", "10", "--epsilon", "1e-9"),
+        ("goldbach", "100", "--workers", "2"),
+        ("selftest", "--max-n", "100", "--emit", "csv"),
+    ])
+    def test_flag_the_command_does_not_read(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2 and out == ""
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        expected = {
+            "primecount": {"--method", "--oracle-check", "--emit", "--out"},
+            "composites": {"--method", "--oracle-check", "--emit", "--out"},
+            "goldbach": {"--list", "--interval", "--oracle-check", "--emit", "--out"},
+            "scan-bound": {"--step", "--emit", "--workers", "--out"},
+            "selftest": {"--max-n", "--epsilon", "--out"},
+        }
+        (commands,) = [action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        flags = {
+            name: {opt for action in sub._actions if not isinstance(action, argparse._HelpAction)
+                   for opt in action.option_strings}
+            for name, sub in commands.items()
+        }
+        assert flags == expected
 
     def test_console_entry_point(self):
         proc = subprocess.run(
