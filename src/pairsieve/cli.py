@@ -260,12 +260,14 @@ def _pair_checks(max_n: int) -> Iterator[Check]:
     """Per even n: the three prime counts and the sieved pair list against
     the oracles, and the partition. On a sample of n: the list-only
     ``prime_pair_list`` against brute force, and the symmetry x -> n - x.
-    One prime table, one ``pair_counts_and_list`` pass per n."""
+    One prime table serves every count and sieve; one
+    ``pair_counts_and_list`` pass per n."""
     table = oracle.build_prime_table(max_n)
     sample = set(range(8, max_n + 1, 94)) | {8, 16, 100, max_n - max_n % 2}
     for n in range(8, max_n + 1, 2):
         expected = oracle.pi_oracle(table, n)
-        pi = {method: legendre.prime_count(n, method) for method in legendre.PRIME_METHODS}
+        pi = {method: legendre.prime_count(n, method, table)
+              for method in legendre.PRIME_METHODS}
         for method, got in pi.items():
             yield "oracle-equivalence", (
                 None if got == expected
@@ -277,7 +279,7 @@ def _pair_checks(max_n: int) -> Iterator[Check]:
         yield "partition", (
             None if counts.prime_pairs == len(pairs)
             else f"prime_pairs {counts.prime_pairs} != list length {len(pairs)} at n={n}")
-        total = legendre.composite_count(n) + pi["legendre"] + 1
+        total = legendre.composite_count(n, "legendre", table) + pi["legendre"] + 1
         yield "partition", None if total == n else f"composites + primes + 1 = {total} != {n}"
         if n not in sample:
             continue
@@ -288,7 +290,8 @@ def _pair_checks(max_n: int) -> Iterator[Check]:
         for p, m, _ in xi.make_residue_basis(n, table).entries:
             fwd, bwd = _count_in_class(1, n - 1, 0, p), _count_in_class(1, n - 1, m, p)
             yield "symmetry", (
-                None if fwd == bwd else f"divisor-count symmetry broken: n={n}, p={p}, m={m}")
+                None if fwd == bwd and (n - m) % p == 0
+                else f"divisor-count symmetry broken: n={n}, p={p}, m={m}")
         yield "symmetry", (
             None if sorted(n - x for x in pairs) == pairs
             else f"pair list not closed under x -> n - x at n={n}")

@@ -3,11 +3,15 @@
 Three interchangeable formulations of the same inclusion-exclusion
 count, kept separate so they can cross-check each other:
 
-* ``"legendre"``  -- signed floor-division sums over squarefree subset
-  products of the basis primes;
+* ``"legendre"``  -- the signed floor sum over squarefree products of
+  the basis primes, evaluated as Legendre's phi(x, a) recursion;
 * ``"theta-sum"`` -- count integers hit by at least one basis prime
   (residue-class marking), then correct by the basis size;
 * ``"direct-mark"`` / ``"survivor"`` -- classical marking sieves.
+
+The marking methods share one segmented kernel. Both it and phi(x, a)
+start from the wheel: the marks of 2, 3, 5, 7, 11 and 13 over one
+period of 30030, a read-only module constant.
 
 All of them are validated against the oracle module in the test suite.
 """
@@ -15,12 +19,13 @@ All of them are validated against the oracle module in the test suite.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .oracle import PrimeTable, is_prime_trial
+from .oracle import PrimeTable, build_prime_table, is_prime_trial
 from .theta import EXACT, ThetaMode, theta_sin
 
 __all__ = [
@@ -149,86 +154,136 @@ def subset_products(primes: Sequence[int], bound: int) -> Iterator[tuple[int, in
     yield from rec(0, 1, 0)
 
 
-# One entry per basis-primes tuple: (cap, sorted products, signs). Products
-# are enumerated once up to a power-of-two cap and re-used for every n
-# below it; the cap grows geometrically when a larger n shows up.
-_PRODUCT_CACHE: dict[tuple[int, ...], tuple[int, np.ndarray, np.ndarray]] = {}
+#: The wheel: the first six primes, and their product, the period of their marks.
+_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
+_PERIOD = 30030
+#: Positions per block of the marking kernel: 35 periods, about 2^20.
+_BLOCK = 35 * _PERIOD
 
 
-def _signed_products(primes: tuple[int, ...], bound: int) -> tuple[np.ndarray, np.ndarray]:
-    entry = _PRODUCT_CACHE.get(primes)
-    if entry is None or entry[0] < bound:
-        cap = 1 << max(bound.bit_length(), 4)
-        items = sorted(subset_products(primes, cap))
-        prods = np.array([p for p, _ in items], dtype=np.int64)
-        signs = np.array([1 if k % 2 else -1 for _, k in items], dtype=np.int64)
-        entry = (cap, prods, signs)
-        _PRODUCT_CACHE[primes] = entry
-    cap, prods, signs = entry
-    cut = int(np.searchsorted(prods, bound, side="right"))
-    return prods[:cut], signs[:cut]
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
-def _basis_for(n: int) -> SieveBasis:
-    from .oracle import build_prime_table
-
-    return make_basis(n, build_prime_table(max(math.isqrt(n), 2)))
-
-
-def _floor_ie_composites(basis: SieveBasis) -> int:
-    # signed sum of floor(n/prod) over squarefree subset products <= n,
-    # then subtract l to turn the single-prime terms into floor((n-p)/p)
-    prods, signs = _signed_products(basis.primes, basis.n)
-    return int(np.sum(signs * (basis.n // prods))) - basis.l
+def _wheel_marks() -> np.ndarray:
+    marks = np.zeros(_PERIOD, dtype=bool)
+    for p in _WHEEL_PRIMES:
+        marks[::p] = True
+    return _read_only(marks)
 
 
-def _mark_residue_zero(n: int, primes: Sequence[int]) -> np.ndarray:
-    # marked[x] for x in [0, n]: some basis prime divides x
-    marked = np.zeros(n + 1, dtype=bool)
-    for p in primes:
-        marked[p::p] = True
+#: ``_WHEEL_MARKS[r]``: some wheel prime divides every x = r (mod 30030).
+_WHEEL_MARKS = _wheel_marks()
+#: ``_WHEEL_PHI[r]`` = phi(r, 6), the unmarked x in [1, r]; 5760 per period.
+_WHEEL_PHI = _read_only(np.cumsum(~_WHEEL_MARKS, dtype=np.int32))
+_WHEEL_TOTIENT = int(_WHEEL_PHI[-1])
+
+
+def _phi(x: int, a: int, primes: Sequence[int]) -> int:
+    """Legendre's phi(x, a): the y in [1, x] that none of ``primes[:a]`` divides.
+
+    From a = 6 on, unrolled as phi(x, 6) - sum over 6 <= i < a of
+    phi(x // primes[i], i), with phi(x, 6) read off the wheel. Once
+    x // primes[i] < primes[i], every later term is 1 (0 once the prime
+    exceeds x), so the rest of the sum is counted at once. Each level
+    divides x by at least 17: the depth is at most log_17 x. Python ints
+    throughout, so x has no upper limit.
+    """
+    if a < len(_WHEEL_PRIMES):
+        if a == 0:
+            return x
+        return _phi(x, a - 1, primes) - _phi(x // primes[a - 1], a - 1, primes)
+    q, r = divmod(x, _PERIOD)
+    total = q * _WHEEL_TOTIENT + _WHEEL_PHI.item(r)
+    for i in range(len(_WHEEL_PRIMES), a):
+        p = primes[i]
+        y = x // p
+        if y < p:
+            return total - (bisect_right(primes, x, i, a) - i)
+        total -= _phi(y, i, primes)
+    return total
+
+
+def _marked_count(basis: SieveBasis, from_squares: bool = False) -> int:
+    """Number of x in [1, n] that the basis primes mark.
+
+    Each prime p marks its multiples; with ``from_squares`` it marks them
+    from p*p on and the wheel primes themselves are unmarked, which
+    leaves exactly the composites <= n. Blocks of ``_BLOCK`` positions
+    reuse one buffer. From one period on, each block starts as a copy of
+    the tiled wheel marks and only the primes above 13 are marked, one
+    slice each; below it the range is a single block marked directly.
+    """
+    n, primes = basis.n, basis.primes
+    # the tiled wheel marks include the wheel primes themselves; a prime
+    # marking from p*p never marks itself
+    if n >= _PERIOD:
+        blank = np.tile(_WHEEL_MARKS, min(n // _PERIOD + 1, _BLOCK // _PERIOD))
+        sieving, excluded = primes[len(_WHEEL_PRIMES):], _WHEEL_PRIMES
+    else:
+        blank = np.zeros(n + 1, dtype=bool)
+        sieving, excluded = primes, ()
+    buf = np.empty_like(blank)
+    marked = 0
+    for lo in range(0, n + 1, len(blank)):
+        block = buf[: min(len(blank), n + 1 - lo)]
+        block[:] = blank[: len(block)]
+        for p in sieving:
+            first = p * p if from_squares else p
+            block[first - lo if first >= lo else -lo % p :: p] = True
+        if lo == 0:
+            block[0] = False  # 0 lies outside [1, n]
+            if from_squares:
+                block[list(excluded)] = False
+        marked += int(np.count_nonzero(block))
     return marked
 
 
-def composite_count(n: int, method: str = "legendre") -> int:
+def _basis_for(n: int, table: PrimeTable | None) -> SieveBasis:
+    if table is None:
+        table = build_prime_table(max(math.isqrt(n), 2))
+    return make_basis(n, table)
+
+
+def composite_count(n: int, method: str = "legendre", table: PrimeTable | None = None) -> int:
     """Number of composites in [4, n] for even n >= 4.
 
-    ``"legendre"`` evaluates the signed floor sums, ``"theta-sum"``
-    counts integers divisible by some basis prime and subtracts the
-    basis size, ``"direct-mark"`` marks composites outright. The three
-    agree identically.
+    ``"legendre"`` is n - phi(n, l) - l; ``"theta-sum"`` counts integers
+    divisible by some basis prime and subtracts the basis size;
+    ``"direct-mark"`` marks composites outright. The three agree
+    identically. ``table`` must cover floor(sqrt(n)); without one, a
+    table is built for this call.
     """
     _require_even(n)
     if method not in COMPOSITE_METHODS:
         raise ValueError(f"method must be one of {COMPOSITE_METHODS}, got {method!r}")
-    basis = _basis_for(n)
+    basis = _basis_for(n, table)
     if method == "legendre":
-        return _floor_ie_composites(basis)
+        return n - _phi(n, basis.l, basis.primes) - basis.l
     if method == "theta-sum":
-        marked = _mark_residue_zero(n, basis.primes)
-        return int(np.count_nonzero(marked[1:])) - basis.l
-    marked = np.zeros(n + 1, dtype=bool)
-    for p in basis.primes:
-        marked[p * p :: p] = True
-    return int(np.count_nonzero(marked))
+        return _marked_count(basis) - basis.l
+    return _marked_count(basis, from_squares=True)
 
 
-def prime_count(n: int, method: str = "legendre") -> int:
+def prime_count(n: int, method: str = "legendre", table: PrimeTable | None = None) -> int:
     """Number of primes <= n for even n >= 4.
 
-    ``"legendre"`` is n - 1 minus the signed floor sums; ``"theta-sum"``
-    subtracts the divisible count and adds back the basis size;
-    ``"survivor"`` counts integers no basis prime divides, then adds
-    l - 1 (the survivors are 1 and the primes above sqrt(n)).
+    ``"legendre"`` is phi(n, l) + l - 1 (phi counts 1 and the primes
+    above sqrt(n)); ``"theta-sum"`` subtracts the divisible count from
+    n - 1 and adds back the basis size; ``"survivor"`` counts integers
+    no basis prime divides, then adds l - 1 (the survivors are 1 and the
+    primes above sqrt(n)). ``table`` must cover floor(sqrt(n)); without
+    one, a table is built for this call.
     """
     _require_even(n)
     if method not in PRIME_METHODS:
         raise ValueError(f"method must be one of {PRIME_METHODS}, got {method!r}")
-    basis = _basis_for(n)
+    basis = _basis_for(n, table)
     if method == "legendre":
-        return n - 1 - _floor_ie_composites(basis)
-    marked = _mark_residue_zero(n, basis.primes)
+        return _phi(n, basis.l, basis.primes) + basis.l - 1
+    divisible = _marked_count(basis)
     if method == "theta-sum":
-        return n - 1 - int(np.count_nonzero(marked[1:])) + basis.l
-    survivors = n - int(np.count_nonzero(marked[1:]))
+        return n - 1 - divisible + basis.l
+    survivors = n - divisible
     return survivors + basis.l - 1

@@ -182,21 +182,26 @@ class TestSelftest:
         code, out, err = run(capsys, "selftest", "--max-n", "100", "--epsilon", "1e-2")
         assert code == 2 and out == "" and "epsilon" in err
 
-    def test_symmetry_reads_the_basis_residues(self, capsys, monkeypatch):
-        # the residue basis the selftest sees is off by one in every class
-        # m >= 2; the sieve itself keeps the true basis, so only the
-        # symmetry suite's class-count check can notice
-        def shifted(n, table, interval=None):
+    @staticmethod
+    def _shifted_basis(shift):
+        def make(n, table, interval=None):
             basis = xi.make_residue_basis(n, table, interval)
-            entries = tuple(e._replace(m=e.m - 1) if e.m >= 2 else e for e in basis.entries)
+            entries = tuple(e._replace(m=e.m + shift) if e.m and 0 < e.m + shift < e.p else e
+                            for e in basis.entries)
             return dataclasses.replace(basis, entries=entries)
+        return make
 
-        monkeypatch.setattr(cli, "xi", types.SimpleNamespace(
-            **{**vars(xi), "make_residue_basis": shifted}))
-        code, out, _ = run(capsys, "selftest", "--max-n", "100")
-        assert code == 1
-        assert re.search(r"^oracle-equivalence: \d+ checks, 0 failures \[ok\]$", out, re.M)
-        assert re.search(r"^symmetry: \d+ checks, [1-9]\d* failures \[FAIL\]$", out, re.M)
+    def test_symmetry_reads_the_basis_residues(self, capsys, monkeypatch):
+        # the residue basis the selftest sees is off by one, down or up, in
+        # every nonzero class that stays in [1, p - 1]; the sieve itself keeps
+        # the true basis, so only the symmetry suite's checks can notice
+        for shift in (-1, 1):
+            monkeypatch.setattr(cli, "xi", types.SimpleNamespace(
+                **{**vars(xi), "make_residue_basis": self._shifted_basis(shift)}))
+            code, out, _ = run(capsys, "selftest", "--max-n", "100")
+            assert code == 1, shift
+            assert re.search(r"^oracle-equivalence: \d+ checks, 0 failures \[ok\]$", out, re.M)
+            assert re.search(r"^symmetry: \d+ checks, [1-9]\d* failures \[FAIL\]$", out, re.M)
 
 
 class TestExitCodes:

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pairsieve import legendre
 from pairsieve import (
     COMPOSITE_METHODS,
     PRIME_METHODS,
@@ -186,3 +188,76 @@ class TestPrimeCount:
     def test_partition_identity(self):
         for n in range(4, 2001, 2):
             assert composite_count(n) + prime_count(n) + 1 == n
+
+
+# n < 169 (fewer than six basis primes), 30030k +- 2 (the wheel period),
+# one and two kernel blocks +- 2, and 2e7
+BLOCK = 35 * 30030
+EDGE_N = [4, 6, 8, 48, 120, 166, 168, 170,
+          30028, 30032, 60058, 60062, 30030 * 7 - 2, 30030 * 7 + 2,
+          BLOCK - 2, BLOCK + 2, 2 * BLOCK - 2, 2 * BLOCK + 2, 20_000_000]
+
+
+@pytest.fixture(scope="module")
+def table_2e7():
+    return build_prime_table(20_000_000)
+
+
+class TestEdges:
+    @pytest.mark.parametrize("n", EDGE_N)
+    def test_every_method_matches_oracle(self, table_2e7, n):
+        expected = pi_oracle(table_2e7, n)
+        for method in PRIME_METHODS:
+            assert prime_count(n, method) == expected, method
+        for method in COMPOSITE_METHODS:
+            assert composite_count(n, method) == n - expected - 1, method
+
+    @pytest.mark.parametrize("n", [100, 30032, BLOCK + 2])
+    def test_table_argument(self, table_2e7, n):
+        for method in PRIME_METHODS:
+            assert prime_count(n, method, table_2e7) == prime_count(n, method)
+        for method in COMPOSITE_METHODS:
+            assert composite_count(n, method, table_2e7) == composite_count(n, method)
+
+    def test_short_table_rejected(self, table_2e7):
+        short = build_prime_table(100)
+        with pytest.raises(ValueError):
+            prime_count(10_404, "legendre", short)  # sqrt = 102
+        with pytest.raises(ValueError):
+            composite_count(10_404, "direct-mark", short)
+        # floor(sqrt(10200)) = 100: the same table is long enough
+        assert prime_count(10_200, "survivor", short) == pi_oracle(table_2e7, 10_200)
+
+
+class TestPhi:
+    def test_deep_basis(self):
+        # pi(sqrt(1e8)) = 1229 basis primes: a phi(x, a - 1) recursion
+        # per prime would pass Python's recursion limit
+        assert prime_count(10**8, "legendre") == 5_761_455
+
+    @pytest.mark.slow
+    def test_published_1e9(self):
+        assert prime_count(10**9, "legendre") == 50_847_534
+
+    @given(st.integers(0, 200_000), st.integers(0, 40))
+    def test_phi_is_the_signed_floor_sum(self, x, a):
+        # the literal inclusion-exclusion: sum of mu(d) * floor(x / d) over
+        # the squarefree products d of the first a primes
+        primes = tuple(int(p) for p in build_prime_table(200).primes[:a])
+        literal = x + sum((-1) ** k * (x // d) for d, k in subset_products(primes, max(x, 1)))
+        assert legendre._phi(x, a, primes) == literal
+
+    def test_python_ints_beyond_int64(self):
+        # phi(x, a) for x past 2^63 with a small basis, against the
+        # closed form for a = 6: 5760 survivors per period of 30030
+        x = 30030 * 2**70 + 1
+        assert legendre._phi(x, 6, (2, 3, 5, 7, 11, 13)) == 5760 * 2**70 + 1
+
+
+def test_no_module_global_mutable_state():
+    for name, value in vars(legendre).items():
+        if name.startswith("__"):
+            continue
+        assert not isinstance(value, (dict, list, set, bytearray)), name
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable, name
