@@ -13,7 +13,8 @@ scan-bound A B  stream per-n records comparing pair counts to the bound
 selftest        run the library's invariant suites
                 --max-n, --epsilon, --out
 
-Exit codes: 0 success, 1 verification or bound failure, 2 usage error.
+Exit codes: 0 success, 1 verification or bound failure, 2 usage error or
+out of memory.
 CSV and JSON-lines output is byte-deterministic for identical inputs,
 independent of --workers.
 """
@@ -382,6 +383,9 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:  # a failed internal cross-check
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
+        return 2
     finally:
         if opened is not None:
             opened.close()

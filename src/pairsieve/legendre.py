@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .oracle import PrimeTable, build_prime_table, is_prime_trial
+from .oracle import PrimeTable, build_prime_table, is_prime_trial, primes_upto
 from .theta import EXACT, ThetaMode, theta_sin
 
 __all__ = [
@@ -79,7 +79,7 @@ def make_basis(n: int, table: PrimeTable) -> SieveBasis:
     r = math.isqrt(n)
     if table.limit < r:
         raise ValueError(f"table covers only {table.limit}, need {r}")
-    ps = tuple(int(p) for p in table.primes[table.primes <= r])
+    ps = tuple(primes_upto(table.primes, r).tolist())
     return SieveBasis(n=n, sqrt_n=r, primes=ps, l=len(ps))
 
 

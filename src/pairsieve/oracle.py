@@ -18,6 +18,7 @@ __all__ = [
     "PrimeTable",
     "build_prime_table",
     "pi_oracle",
+    "primes_upto",
     "is_prime_trial",
     "goldbach_pairs_oracle",
 ]
@@ -76,6 +77,12 @@ def pi_oracle(table: PrimeTable, n: int) -> int:
     if not 1 <= n <= table.limit:
         raise ValueError(f"n must be in [1, {table.limit}], got {n}")
     return int(np.searchsorted(table.primes, n, side="right"))
+
+
+def primes_upto(primes: np.ndarray, limit: int) -> np.ndarray:
+    """The primes <= ``limit`` of an ascending prime array: a view of its
+    prefix, found by binary search."""
+    return primes[: int(np.searchsorted(primes, limit, side="right"))]
 
 
 def is_prime_trial(n: int) -> bool:

@@ -12,6 +12,12 @@ positions knocked out only by non-dividing primes as ``tilde``; the two
 are disjoint by construction, so hat + tilde + survivors partitions the
 interval. A scanner compares the survivor count per n against the
 analytic lower bound (n - 4*sqrt(n)) / ln^2(n - sqrt(n)).
+
+Over the default interval the survivors are exactly the prime pairs, so
+a scan over many n reads their counts off one shared prime bitmap (an
+AND of the odd flags with their reverse), takes hat from its closed
+inclusion-exclusion form and tilde as the rest, and keeps the sieve as
+the verifier of each span's first and last n.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .legendre import count_multiples, subset_products
-from .oracle import PrimeTable, build_prime_table, is_prime_trial
+from .oracle import PrimeTable, build_prime_table, is_prime_trial, primes_upto
 
 __all__ = [
     "DEFAULT_BLOCK",
@@ -201,8 +207,8 @@ def make_residue_basis(
     if table.limit < r:
         raise ValueError(f"table covers only {table.limit}, need {r}")
     entries = tuple(
-        ResidueEntry(p=int(p), m=n % int(p), divides_n=n % int(p) == 0)
-        for p in table.primes[table.primes <= r]
+        ResidueEntry(p=p, m=n % p, divides_n=n % p == 0)
+        for p in primes_upto(table.primes, r).tolist()
     )
     return ResidueBasis(n=n, interval=interval or default_interval(n), entries=entries)
 
@@ -490,41 +496,99 @@ def check_bound(
 
 
 # ---------------------------------------------------------------------------
-# scanning (optionally parallel over n; output order is always ascending)
+# scanning: pair counts read off one prime bitmap per span of n, the sieve
+# as the verifier; optionally parallel over spans, output always ascending
 # ---------------------------------------------------------------------------
 
+#: Bitmap positions a span of a scan covers at least, summed over its n
+#: (about n/4 per n). A span's fixed cost, its bitmap and the two sieved
+#: checks, is about 13 ms near n = 1e6, against about 70 us per n of
+#: bitmap work there: at 2^29 positions it is under a tenth of the span.
+_SPAN_POSITIONS = 1 << 29
 
-def _primes_upto(primes: np.ndarray, limit: int) -> np.ndarray:
-    return primes[: int(np.searchsorted(primes, limit, side="right"))]
+#: Largest ``end`` for which a scan reads pair counts off a prime bitmap.
+#: A span's bitmap holds about 1.25 bytes per integer up to its last n
+#: (the odd-only flags, their reverse and an AND buffer), and building it
+#: peaks near 1.9: 250 MB per process at 2^27. Above this constant every
+#: n is sieved instead, in O(sqrt(n) + block) memory, so a scan's memory
+#: stays bounded whatever its end.
+_BITMAP_MAX_END = 1 << 27
 
 
 def _counts_from_primes(n: int, primes: np.ndarray, block_size: int) -> PairCounts:
     a, b = default_interval(n)
-    ps = _primes_upto(primes, math.isqrt(n))
+    ps = primes_upto(primes, math.isqrt(n))
     ms = n % ps
     others = list(zip(ps[ms != 0].tolist(), ms[ms != 0].tolist()))
     return _sieve(n, a, b, ps[ms == 0].tolist(), others, block_size, False)[0]
 
 
-def _counts_span(span: tuple[int, int, int, int, np.ndarray]) -> list[PairCounts]:
-    """Pool task: every n of one span, with the primes it needs passed in."""
-    start, end, step, block_size, primes = span
+def _pair_count(odd: np.ndarray, rev: np.ndarray, buf: np.ndarray, n: int, a: int) -> int:
+    """The x in [a, n - a] with x and n - x prime, read off the bitmap.
+
+    ``odd[i]`` says whether 2i + 1 is prime and ``rev`` is ``odd``
+    reversed, so n - (2i + 1) is prime exactly when
+    ``rev[rev.size - n // 2 + i]`` is set. Since a >= 3, no even x pairs.
+    The interval is symmetric about n/2, so only x <= n/2 is read: each
+    pair counts twice, but for x = n/2 itself.
+    """
+    h = n // 2
+    i0, i1 = a // 2, (h - 1) // 2
+    s = rev.size - h
+    hits = np.logical_and(odd[i0 : i1 + 1], rev[i0 + s : i1 + 1 + s], out=buf[: i1 - i0 + 1])
+    return 2 * int(np.count_nonzero(hits)) - int(h % 2 == 1 and odd[h // 2])
+
+
+def _bitmap_span(span: tuple[int, int, int, int]) -> list[PairCounts]:
+    """Pool task: every n of one span, counted off one odd-only prime bitmap
+    up to its last n. hat comes from inclusion-exclusion over the primes
+    dividing n, tilde is the rest. The segment sieve re-derives the first
+    and last n, hat check included; a disagreement raises."""
+    start, end, step, block_size = span
+    # copies, so the table is freed; & on the strided flags[1::2] view
+    # would also be several times slower than on a contiguous one
+    table = build_prime_table(end)
+    primes = primes_upto(table.primes, math.isqrt(end)).copy()
+    odd = np.ascontiguousarray(table.flags[1::2])
+    del table
+    rev = odd[::-1].copy()
+    buf = np.empty(odd.size // 2 + 1, dtype=bool)
+    sieved = {n: _counts_from_primes(n, primes, block_size) for n in (start, end)}
+    out = []
+    for n in range(start, end + 1, step):
+        a, b = default_interval(n)
+        ps = primes_upto(primes, math.isqrt(n))
+        hat = _hat_inclusion_exclusion(ps[n % ps == 0].tolist(), a, b)
+        pairs = _pair_count(odd, rev, buf, n, a)
+        want = sieved.get(n)
+        if want is not None and (hat, pairs) != (want.hat, want.prime_pairs):
+            raise RuntimeError(f"bitmap counts hat={hat} prime_pairs={pairs} != sieved "
+                               f"hat={want.hat} prime_pairs={want.prime_pairs} for n={n}")
+        length = b - a + 1
+        out.append(PairCounts(n=n, interval=(a, b), length=length, hat=hat,
+                              tilde=length - hat - pairs, composite_pairs=length - pairs,
+                              prime_pairs=pairs))
+    return out
+
+
+def _sieve_span(span: tuple[int, int, int, int]) -> list[PairCounts]:
+    """Pool task: every n of one span through the segment sieve."""
+    start, end, step, block_size = span
+    primes = build_prime_table(max(math.isqrt(end), 2)).primes
     return [_counts_from_primes(n, primes, block_size) for n in range(start, end + 1, step)]
 
 
-def _spans(start: int, end: int, step: int, chunk: int) -> Iterator[tuple[int, int, int]]:
-    n = start
-    while n <= end:
-        last = min(n + step * (chunk - 1), end)
-        yield n, last, step
-        n = last + step
-
-
-def _chunk_size(start: int, end: int, step: int, workers: int) -> int:
-    # several chunks per worker for load balance, capped to keep task
-    # dispatch overhead negligible on long scans
-    total = (end - start) // step + 1
-    return max(16, min(512, total // (workers * 4) or 1))
+def _spans(start: int, end: int, step: int, block_size: int) -> list[tuple[int, int, int, int]]:
+    """(first n, last n, step, block_size) per span: runs of consecutive n
+    whose bitmap positions reach ``_SPAN_POSITIONS``; the last may be short."""
+    spans = []
+    first, work = start, 0
+    for n in range(start, end + 1, step):
+        work += n // 4
+        if work >= _SPAN_POSITIONS or n + step > end:
+            spans.append((first, n, step, block_size))
+            first, work = n + step, 0
+    return spans
 
 
 def _pool_size(workers: int) -> int:
@@ -553,7 +617,7 @@ def scan_bounds(
     """Yield a BoundReport for every even n in [start, end] by ``step``.
 
     Reports come out in ascending n regardless of ``workers``: parallel
-    chunks are consumed in submission order. Use ``ScanSummary.add`` on
+    spans are consumed in submission order. Use ``ScanSummary.add`` on
     the stream for the aggregate (minimum margin, violation count).
     """
     _validate_scan_range(start, end, step, minimum=26)
@@ -570,17 +634,23 @@ def iter_pair_counts(
     block_size: int = DEFAULT_BLOCK,
 ) -> Iterator[PairCounts]:
     """PairCounts for every even n in [start, end], ascending; parallel-safe
-    in the same way as ``scan_bounds``. Minimum start is 8."""
+    in the same way as ``scan_bounds``. Minimum start is 8.
+
+    The n are cut into spans of about ``_SPAN_POSITIONS`` bitmap
+    positions, each counted off its own prime bitmap and checked by the
+    sieve at its first and last n (every n is sieved when ``end`` exceeds
+    ``_BITMAP_MAX_END``). A scan of fewer than two spans, or with one
+    worker process, runs in this process; otherwise a pool of ``workers``
+    processes, clamped to the CPU count, takes the spans.
+    """
     _validate_scan_range(start, end, step, minimum=8)
-    primes = build_prime_table(max(math.isqrt(end), 2)).primes
-    if workers <= 1:
-        for n in range(start, end + 1, step):
-            yield _counts_from_primes(n, primes, block_size)
-        return
+    spans = _spans(start, end, step, block_size)
+    task = _bitmap_span if end <= _BITMAP_MAX_END else _sieve_span
     workers = _pool_size(workers)
-    chunk = _chunk_size(start, end, step, workers)
-    spans = [(lo, hi, st, block_size, _primes_upto(primes, math.isqrt(hi)))
-             for lo, hi, st in _spans(start, end, step, chunk)]
+    if workers == 1 or len(spans) < 2:
+        for span in spans:
+            yield from task(span)
+        return
     with Pool(workers) as pool:
-        for counts in pool.imap(_counts_span, spans):
+        for counts in pool.imap(task, spans):
             yield from counts

@@ -214,6 +214,21 @@ class TestExitCodes:
         assert err.startswith("error: hat marking") and "Traceback" not in err
 
 
+    def test_failed_bitmap_check_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(xi, "_pair_count", lambda *args: -1)
+        code, _, err = run(capsys, "scan-bound", "1000", "1100", "--emit", "csv")
+        assert code == 1
+        assert err.startswith("error: bitmap counts") and "Traceback" not in err
+
+    def test_memory_error_exits_2(self, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(cli.xi, "iter_pair_counts", out_of_memory)
+        code, _, err = run(capsys, "scan-bound", "100", "104")
+        assert code == 2
+        assert err.startswith("error: out of memory") and "Traceback" not in err
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert run(capsys, "no-such-command")[0] == 2

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pairsieve import (
     COMPOSITE,
@@ -247,6 +247,18 @@ class TestPairCounts:
             assert c.composite_pairs + c.prime_pairs == c.length
             assert c.length == c.interval[1] - c.interval[0] + 1
 
+    def test_golden_232_is_the_count_over_a_narrower_interval(self, table_20k):
+        # criterion 1 records 232 prime pairs for n = 10000, where the default
+        # interval [100, 9900] holds 250: 232 is the count over [a, 10000 - a]
+        # for exactly a = 312..449, among them a = 400 = 4 sqrt(n), as in the
+        # bound's numerator n - 4 sqrt(n)
+        def count(a):
+            return len(goldbach_pairs_oracle(table_20k, 10000, (a, 10000 - a)))
+
+        assert [a for a in range(300, 460) if count(a) == 232] == list(range(312, 450))
+        assert (count(100), count(1)) == (250, 254)
+        assert pair_counts(10000, table_20k, (400, 9600)).prime_pairs == 232
+
     def test_invalid_partition_rejected(self):
         from pairsieve import PairCounts
         with pytest.raises(ValueError):
@@ -378,9 +390,57 @@ class TestIterPairCounts:
         singles = [pair_counts(n, table_20k) for n in range(100, 141, 2)]
         assert streamed == singles
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        # spans of about 20 n, so the pool takes several
+        monkeypatch.setattr(xi, "_SPAN_POSITIONS", 3000)
+        assert len(xi._spans(500, 700, 2, xi.DEFAULT_BLOCK)) > 2
         assert list(iter_pair_counts(500, 700, 2, workers=4)) == \
             list(iter_pair_counts(500, 700, 2))
+
+    # n = 30030k (seven dividing primes), n = 2q (one), even squares (the
+    # interval starts at sqrt(n) itself) and spans down to one n each
+    @given(first=st.one_of(st.integers(4, 35000).map(lambda k: 2 * k),
+                           st.sampled_from([30030, 60060, 2 * 4999, 2 * 7919, 144, 4096, 10000])),
+           count=st.integers(0, 40), step=st.sampled_from([2, 4, 6, 30, 210, 2310]),
+           span_positions=st.sampled_from([1, 5000, 1 << 29]))
+    @example(first=30030, count=3, step=30030, span_positions=1)
+    @example(first=2 * 4999, count=0, step=2, span_positions=1 << 29)
+    @example(first=8, count=40, step=2, span_positions=50)
+    @example(first=64 * 64, count=4, step=2 * 64 + 2, span_positions=1)  # 64^2, 65^2 + 1, ...
+    def test_bitmap_engine_matches_the_sieve(self, table_20k, first, count, step,
+                                             span_positions):
+        end = first + count * step
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(xi, "_SPAN_POSITIONS", span_positions)
+            streamed = list(iter_pair_counts(first, end, step))
+        assert streamed == [pair_counts(n, table_20k) for n in range(first, end + 1, step)]
+
+    @pytest.mark.parametrize("bad_n", [1000, 1100])
+    def test_sieve_checks_each_span_first_and_last_n(self, monkeypatch, bad_n):
+        pair_count = xi._pair_count
+        monkeypatch.setattr(xi, "_pair_count",
+                            lambda odd, rev, buf, n, a: pair_count(odd, rev, buf, n, a)
+                            + (n == bad_n))
+        with pytest.raises(RuntimeError, match=f"bitmap counts .*n={bad_n}"):
+            list(iter_pair_counts(1000, 1100))
+
+    def test_small_scan_starts_no_pool(self, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("a one-span scan started a process pool")
+        monkeypatch.setattr(xi.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(xi, "Pool", no_pool)
+        assert len(xi._spans(10000, 20000, 2, xi.DEFAULT_BLOCK)) == 1
+        assert list(scan_bounds(10000, 20000, 2, workers=2)) == list(scan_bounds(10000, 20000))
+
+    def test_every_n_sieved_above_the_end_constant(self, monkeypatch, table_20k):
+        def no_bitmap(*args):
+            raise AssertionError("bitmap read above the end constant")
+        monkeypatch.setattr(xi, "_BITMAP_MAX_END", 1000)
+        monkeypatch.setattr(xi, "_pair_count", no_bitmap)
+        assert list(iter_pair_counts(900, 1002)) == \
+            [pair_counts(n, table_20k) for n in range(900, 1003, 2)]
+        with pytest.raises(AssertionError, match="bitmap read"):
+            list(iter_pair_counts(900, 1000))
 
     def test_interleaved_generators_are_independent(self, table_20k):
         # a second scan started while the first is suspended must not
