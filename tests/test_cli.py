@@ -213,7 +213,6 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: hat marking") and "Traceback" not in err
 
-
     def test_failed_bitmap_check_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(xi, "_pair_count", lambda *args: -1)
         code, _, err = run(capsys, "scan-bound", "1000", "1100", "--emit", "csv")

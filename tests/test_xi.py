@@ -406,7 +406,7 @@ class TestIterPairCounts:
     @example(first=30030, count=3, step=30030, span_positions=1)
     @example(first=2 * 4999, count=0, step=2, span_positions=1 << 29)
     @example(first=8, count=40, step=2, span_positions=50)
-    @example(first=64 * 64, count=4, step=2 * 64 + 2, span_positions=1)  # 64^2, 65^2 + 1, ...
+    @example(first=64 * 64, count=4, step=2 * 64 + 2, span_positions=1)  # 64^2, then 66^2
     def test_bitmap_engine_matches_the_sieve(self, table_20k, first, count, step,
                                              span_positions):
         end = first + count * step
