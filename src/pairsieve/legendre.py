@@ -9,9 +9,10 @@ count, kept separate so they can cross-check each other:
   (residue-class marking), then correct by the basis size;
 * ``"direct-mark"`` / ``"survivor"`` -- classical marking sieves.
 
-The marking methods share one segmented kernel. Both it and phi(x, a)
-start from the wheel: the marks of 2, 3, 5, 7, 11 and 13 over one
-period of 30030, a read-only module constant.
+The marking methods run on the package's one residue-class marking
+kernel, which ``xi``'s double sieve shares; here its blocks start as the
+tiled wheel: the marks of 2, 3, 5, 7, 11 and 13 over one period of
+30030, a read-only module constant that phi(x, a) starts from too.
 
 All of them are validated against the oracle module in the test suite.
 """
@@ -154,11 +155,45 @@ def subset_products(primes: Sequence[int], bound: int) -> Iterator[tuple[int, in
     yield from rec(0, 1, 0)
 
 
+#: Positions per block of the marking kernel, clipped to the range. The
+#: cost of a block is Python overhead per slice assignment, not memory
+#: bandwidth, so large blocks win; 2^20 was fastest in a sweep at n near
+#: 2e7 and 1e8. Results are identical for any size >= 1.
+DEFAULT_BLOCK = 1 << 20
+
+
+def _mark_blocks(
+    lo: int,
+    hi: int,
+    passes: Sequence[Sequence[tuple[int, int]]],
+    block_size: int,
+    blank: np.ndarray | None = None,
+) -> Iterator[tuple[int, np.ndarray, list[int]]]:
+    """The residue-class marking kernel: (start, block, counts) per block
+    of ``block_size`` positions of [lo, hi], all in one reused buffer.
+
+    A block starts as a copy of ``blank``, one block-long period of marks,
+    or all False. Each (p, first) of each pass marks the x >= first with
+    x = first (mod p), one strided slice, and ``counts`` holds the marked
+    count after each pass. Consume ``block`` before advancing.
+    """
+    if block_size < 1:
+        raise ValueError(f"block_size must be >= 1, got {block_size}")
+    buf = np.empty(min(block_size, hi - lo + 1), dtype=bool)
+    for start in range(lo, hi + 1, buf.size):
+        block = buf[: min(buf.size, hi + 1 - start)]
+        block[:] = False if blank is None else blank[: block.size]
+        counts = []
+        for marks in passes:
+            for p, first in marks:
+                block[first - start if first >= start else (first - start) % p :: p] = True
+            counts.append(int(np.count_nonzero(block)))
+        yield start, block, counts
+
+
 #: The wheel: the first six primes, and their product, the period of their marks.
 _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 _PERIOD = 30030
-#: Positions per block of the marking kernel: 35 periods, about 2^20.
-_BLOCK = 35 * _PERIOD
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -166,15 +201,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _wheel_marks() -> np.ndarray:
-    marks = np.zeros(_PERIOD, dtype=bool)
-    for p in _WHEEL_PRIMES:
-        marks[::p] = True
-    return _read_only(marks)
-
-
 #: ``_WHEEL_MARKS[r]``: some wheel prime divides every x = r (mod 30030).
-_WHEEL_MARKS = _wheel_marks()
+_WHEEL_MARKS = _read_only(
+    next(_mark_blocks(0, _PERIOD - 1, ([(p, 0) for p in _WHEEL_PRIMES],), _PERIOD))[1])
 #: ``_WHEEL_PHI[r]`` = phi(r, 6), the unmarked x in [1, r]; 5760 per period.
 _WHEEL_PHI = _read_only(np.cumsum(~_WHEEL_MARKS, dtype=np.int32))
 _WHEEL_TOTIENT = int(_WHEEL_PHI[-1])
@@ -209,34 +238,25 @@ def _marked_count(basis: SieveBasis, from_squares: bool = False) -> int:
     """Number of x in [1, n] that the basis primes mark.
 
     Each prime p marks its multiples; with ``from_squares`` it marks them
-    from p*p on and the wheel primes themselves are unmarked, which
-    leaves exactly the composites <= n. Blocks of ``_BLOCK`` positions
-    reuse one buffer. From one period on, each block starts as a copy of
-    the tiled wheel marks and only the primes above 13 are marked, one
-    slice each; below it the range is a single block marked directly.
+    from p*p on, which leaves exactly the composites <= n. One pass of
+    the kernel: from one period on, each block starts as the tiled wheel
+    marks and only the primes above 13 are marked; below it the range is
+    a single block marked directly.
     """
     n, primes = basis.n, basis.primes
-    # the tiled wheel marks include the wheel primes themselves; a prime
-    # marking from p*p never marks itself
     if n >= _PERIOD:
-        blank = np.tile(_WHEEL_MARKS, min(n // _PERIOD + 1, _BLOCK // _PERIOD))
-        sieving, excluded = primes[len(_WHEEL_PRIMES):], _WHEEL_PRIMES
+        # the wheel tiled from x = 1
+        blank = np.tile(np.roll(_WHEEL_MARKS, -1), min(n // _PERIOD + 1, DEFAULT_BLOCK // _PERIOD))
+        sieving = primes[len(_WHEEL_PRIMES):]
     else:
-        blank = np.zeros(n + 1, dtype=bool)
-        sieving, excluded = primes, ()
-    buf = np.empty_like(blank)
+        blank, sieving = None, primes
+    marks = [(p, p * p) for p in sieving] if from_squares else list(zip(sieving, sieving))
     marked = 0
-    for lo in range(0, n + 1, len(blank)):
-        block = buf[: min(len(blank), n + 1 - lo)]
-        block[:] = blank[: len(block)]
-        for p in sieving:
-            first = p * p if from_squares else p
-            block[first - lo if first >= lo else -lo % p :: p] = True
-        if lo == 0:
-            block[0] = False  # 0 lies outside [1, n]
-            if from_squares:
-                block[list(excluded)] = False
-        marked += int(np.count_nonzero(block))
+    for _, _, (count,) in _mark_blocks(1, n, (marks,), n if blank is None else blank.size, blank):
+        marked += count
+    if from_squares and blank is not None:
+        # the wheel marks its own primes; a prime marking from p*p does not
+        marked -= len(_WHEEL_PRIMES)
     return marked
 
 

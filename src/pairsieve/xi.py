@@ -10,7 +10,9 @@ are precisely the x with x and n - x both prime.
 Positions knocked out by a prime dividing n are counted as ``hat``,
 positions knocked out only by non-dividing primes as ``tilde``; the two
 are disjoint by construction, so hat + tilde + survivors partitions the
-interval. A scanner compares the survivor count per n against the
+interval. The sieve is two passes of ``legendre``'s residue-class marking
+kernel: class 0 of the dividing primes, counted as hat, then both
+classes of the others. A scanner compares the survivor count per n against the
 analytic lower bound (n - 4*sqrt(n)) / ln^2(n - sqrt(n)).
 
 Over the default interval the survivors are exactly the prime pairs, so
@@ -30,7 +32,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .legendre import count_multiples, subset_products
+from .legendre import DEFAULT_BLOCK, _mark_blocks, count_multiples, subset_products
 from .oracle import PrimeTable, build_prime_table, is_prime_trial, primes_upto
 
 __all__ = [
@@ -61,12 +63,6 @@ __all__ = [
     "scan_bounds",
     "iter_pair_counts",
 ]
-
-#: Positions per sieve segment, clipped to the interval length. The cost
-#: of a segment is Python overhead per slice assignment (two per prime),
-#: not memory bandwidth, so large segments win; 2^20 was fastest in a
-#: sweep at n near 2e7 and 1e8. Results are identical for any size >= 1.
-DEFAULT_BLOCK = 1 << 20
 
 ONE = "one"
 PRIME = "prime"
@@ -236,43 +232,21 @@ def classify_pair(x: int, n: int) -> PairClass:
 
 
 # ---------------------------------------------------------------------------
-# the segment kernel and the hat cross-check
+# the double sieve on the marking kernel, and the hat cross-check
 # ---------------------------------------------------------------------------
 
 
-def _segments(
-    a: int,
-    b: int,
-    dividing: Sequence[int],
-    others: Sequence[tuple[int, int]],
-    block_size: int,
-) -> Iterator[tuple[int, np.ndarray, int, int]]:
-    """Yield (lo, marked, hat, composite) per segment of [a, b].
-
-    One bool buffer per segment: class 0 of the primes dividing n is
-    marked first and counted as the segment's hat, then classes 0 and m
-    of the other (p, m) are marked on top and the total is hat + tilde.
-    Survivors are the unmarked positions. ``marked`` is a view of a
-    reused buffer: consume it before advancing.
-    """
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
-    buf = np.empty(min(block_size, b - a + 1), dtype=bool)
-    for lo in range(a, b + 1, buf.size):
-        marked = buf[: min(buf.size, b - lo + 1)]
-        marked[:] = False
-        for p in dividing:
-            marked[(-lo) % p :: p] = True
-        hat = int(np.count_nonzero(marked))
-        for p, m in others:
-            marked[(-lo) % p :: p] = True
-            marked[(m - lo) % p :: p] = True
-        yield lo, marked, hat, int(np.count_nonzero(marked))
-
-
-def _unmarked(lo: int, marked: np.ndarray) -> list[int]:
-    """The x values a segment leaves unmarked; inverts ``marked`` in place."""
-    return (np.flatnonzero(np.logical_not(marked, out=marked)) + lo).tolist()
+def _passes(basis: ResidueBasis) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The kernel's two passes for a basis: class 0 of the primes dividing
+    n, whose count is hat, then classes 0 and m of the others, which bring
+    it to hat + tilde."""
+    hat, other = [], []
+    for p, m, divides in basis.entries:
+        if divides:
+            hat.append((p, 0))
+        else:
+            other += ((p, 0), (p, m))
+    return hat, other
 
 
 def _hat_inclusion_exclusion(dividing: Sequence[int], a: int, b: int) -> int:
@@ -285,25 +259,21 @@ def _hat_inclusion_exclusion(dividing: Sequence[int], a: int, b: int) -> int:
 
 
 def _sieve(
-    n: int,
-    a: int,
-    b: int,
-    dividing: Sequence[int],
-    others: Sequence[tuple[int, int]],
-    block_size: int,
-    with_list: bool,
+    basis: ResidueBasis, block_size: int, with_list: bool
 ) -> tuple[PairCounts, list[int] | None]:
-    """One kernel pass over [a, b]: the partition and, if asked, the
+    """One kernel pass over the interval: the partition and, if asked, the
     ascending survivors. The marked hat count is re-derived by
     inclusion-exclusion; a disagreement means a broken sieve and raises."""
+    passes = _passes(basis)
+    n, (a, b) = basis.n, basis.interval
     hat = composite = 0
     survivors: list[int] | None = [] if with_list else None
-    for lo, marked, seg_hat, seg_composite in _segments(a, b, dividing, others, block_size):
+    for lo, marked, (seg_hat, seg_composite) in _mark_blocks(a, b, passes, block_size):
         hat += seg_hat
         composite += seg_composite
         if survivors is not None:
-            survivors.extend(_unmarked(lo, marked))
-    ie = _hat_inclusion_exclusion(dividing, a, b)
+            survivors.extend((np.flatnonzero(np.logical_not(marked, out=marked)) + lo).tolist())
+    ie = _hat_inclusion_exclusion([p for p, _ in passes[0]], a, b)
     if hat != ie:
         raise RuntimeError(f"hat marking {hat} != inclusion-exclusion {ie} for n={n}")
     length = b - a + 1
@@ -319,16 +289,6 @@ def _sieve(
     return counts, survivors
 
 
-def _split(basis: ResidueBasis) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
-    return basis.dividing, [(e.p, e.m) for e in basis.nondividing]
-
-
-def _sieve_basis(
-    basis: ResidueBasis, block_size: int, with_list: bool
-) -> tuple[PairCounts, list[int] | None]:
-    return _sieve(basis.n, basis.a, basis.b, *_split(basis), block_size, with_list)
-
-
 def double_sieve(basis: ResidueBasis, block_size: int = DEFAULT_BLOCK) -> np.ndarray:
     """Survivor bitmap over the basis interval, sieved in segments.
 
@@ -338,7 +298,7 @@ def double_sieve(basis: ResidueBasis, block_size: int = DEFAULT_BLOCK) -> np.nda
     """
     out = np.empty(basis.length, dtype=bool)
     a = basis.a
-    for lo, marked, _, _ in _segments(a, basis.b, *_split(basis), block_size):
+    for lo, marked, _ in _mark_blocks(a, basis.b, _passes(basis), block_size):
         np.logical_not(marked, out=out[lo - a : lo - a + marked.size])
     return out
 
@@ -349,13 +309,13 @@ def hat_composite_pairs(basis: ResidueBasis, block_size: int = DEFAULT_BLOCK) ->
     The same count is recomputed by signed subset products over the
     dividing primes; a disagreement means a broken sieve and raises.
     """
-    return _sieve_basis(basis, block_size, with_list=False)[0].hat
+    return _sieve(basis, block_size, with_list=False)[0].hat
 
 
 def tilde_composite_pairs(basis: ResidueBasis, block_size: int = DEFAULT_BLOCK) -> int:
     """Positions missed by every dividing prime but hit through some
     non-dividing prime's class 0 or class m. Marking implementation."""
-    return _sieve_basis(basis, block_size, with_list=False)[0].tilde
+    return _sieve(basis, block_size, with_list=False)[0].tilde
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +402,7 @@ def pair_counts(
     One segmented pass computes all three counts; the hat count is then
     re-derived by inclusion-exclusion as a consistency check.
     """
-    return _sieve_basis(make_residue_basis(n, table, interval), block_size, False)[0]
+    return _sieve(make_residue_basis(n, table, interval), block_size, False)[0]
 
 
 def prime_pair_list(
@@ -452,12 +412,8 @@ def prime_pair_list(
     block_size: int = DEFAULT_BLOCK,
 ) -> list[int]:
     """Ascending survivors of the double sieve: every x with x and n - x
-    prime over the interval."""
-    basis = make_residue_basis(n, table, interval)
-    out: list[int] = []
-    for lo, marked, _, _ in _segments(basis.a, basis.b, *_split(basis), block_size):
-        out.extend(_unmarked(lo, marked))
-    return out
+    prime over the interval: the list half of ``pair_counts_and_list``."""
+    return pair_counts_and_list(n, table, interval, block_size)[1]
 
 
 def pair_counts_and_list(
@@ -467,7 +423,7 @@ def pair_counts_and_list(
     block_size: int = DEFAULT_BLOCK,
 ) -> tuple[PairCounts, list[int]]:
     """``pair_counts`` and ``prime_pair_list`` from a single sieve pass."""
-    return _sieve_basis(make_residue_basis(n, table, interval), block_size, True)
+    return _sieve(make_residue_basis(n, table, interval), block_size, True)
 
 
 def bound_value(n: int) -> float:
@@ -515,14 +471,6 @@ _SPAN_POSITIONS = 1 << 29
 _BITMAP_MAX_END = 1 << 27
 
 
-def _counts_from_primes(n: int, primes: np.ndarray, block_size: int) -> PairCounts:
-    a, b = default_interval(n)
-    ps = primes_upto(primes, math.isqrt(n))
-    ms = n % ps
-    others = list(zip(ps[ms != 0].tolist(), ms[ms != 0].tolist()))
-    return _sieve(n, a, b, ps[ms == 0].tolist(), others, block_size, False)[0]
-
-
 def _pair_count(odd: np.ndarray, rev: np.ndarray, buf: np.ndarray, n: int, a: int) -> int:
     """The x in [a, n - a] with x and n - x prime, read off the bitmap.
 
@@ -543,28 +491,32 @@ def _bitmap_span(span: tuple[int, int, int, int]) -> list[PairCounts]:
     """Pool task: every n of one span, counted off one odd-only prime bitmap
     up to its last n. hat comes from inclusion-exclusion over the primes
     dividing n, tilde is the rest. The segment sieve re-derives the first
-    and last n, hat check included; a disagreement raises."""
+    and last n, hat check included; a disagreement, or a count no interval
+    can hold, raises."""
     start, end, step, block_size = span
-    # copies, so the table is freed; & on the strided flags[1::2] view
+    small = build_prime_table(math.isqrt(end))
+    # a copy, so the table is freed; & on the strided flags[1::2] view
     # would also be several times slower than on a contiguous one
     table = build_prime_table(end)
-    primes = primes_upto(table.primes, math.isqrt(end)).copy()
     odd = np.ascontiguousarray(table.flags[1::2])
     del table
     rev = odd[::-1].copy()
     buf = np.empty(odd.size // 2 + 1, dtype=bool)
-    sieved = {n: _counts_from_primes(n, primes, block_size) for n in (start, end)}
+    sieved = {n: pair_counts(n, small, block_size=block_size) for n in (start, end)}
     out = []
     for n in range(start, end + 1, step):
         a, b = default_interval(n)
-        ps = primes_upto(primes, math.isqrt(n))
+        length = b - a + 1
+        ps = primes_upto(small.primes, math.isqrt(n))
         hat = _hat_inclusion_exclusion(ps[n % ps == 0].tolist(), a, b)
         pairs = _pair_count(odd, rev, buf, n, a)
+        if pairs < 0 or hat + pairs > length:
+            raise RuntimeError(f"bitmap counts hat={hat} prime_pairs={pairs} impossible "
+                               f"over {length} positions for n={n}")
         want = sieved.get(n)
         if want is not None and (hat, pairs) != (want.hat, want.prime_pairs):
             raise RuntimeError(f"bitmap counts hat={hat} prime_pairs={pairs} != sieved "
                                f"hat={want.hat} prime_pairs={want.prime_pairs} for n={n}")
-        length = b - a + 1
         out.append(PairCounts(n=n, interval=(a, b), length=length, hat=hat,
                               tilde=length - hat - pairs, composite_pairs=length - pairs,
                               prime_pairs=pairs))
@@ -574,8 +526,8 @@ def _bitmap_span(span: tuple[int, int, int, int]) -> list[PairCounts]:
 def _sieve_span(span: tuple[int, int, int, int]) -> list[PairCounts]:
     """Pool task: every n of one span through the segment sieve."""
     start, end, step, block_size = span
-    primes = build_prime_table(max(math.isqrt(end), 2)).primes
-    return [_counts_from_primes(n, primes, block_size) for n in range(start, end + 1, step)]
+    table = build_prime_table(math.isqrt(end))
+    return [pair_counts(n, table, block_size=block_size) for n in range(start, end + 1, step)]
 
 
 def _spans(start: int, end: int, step: int, block_size: int) -> list[tuple[int, int, int, int]]:

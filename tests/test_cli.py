@@ -219,6 +219,16 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: bitmap counts") and "Traceback" not in err
 
+    def test_impossible_count_inside_a_span_exits_1(self, capsys, monkeypatch):
+        # n = 1050 is neither end of the span, so no sieved check sees it
+        pair_count = xi._pair_count
+        monkeypatch.setattr(xi, "_pair_count", lambda odd, rev, buf, n, a:
+                            -1 if n == 1050 else pair_count(odd, rev, buf, n, a))
+        code, _, err = run(capsys, "scan-bound", "1000", "1100", "--emit", "csv")
+        assert code == 1
+        assert err.startswith("error: bitmap counts") and "n=1050" in err
+        assert "Traceback" not in err
+
     def test_memory_error_exits_2(self, capsys, monkeypatch):
         def out_of_memory(*args, **kwargs):
             raise MemoryError

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from pairsieve import legendre
+from pairsieve import legendre, xi
 from pairsieve import (
     COMPOSITE_METHODS,
+    DEFAULT_BLOCK,
     PRIME_METHODS,
     build_prime_table,
     composite_count,
@@ -191,8 +192,9 @@ class TestPrimeCount:
 
 
 # n < 169 (fewer than six basis primes), 30030k +- 2 (the wheel period),
-# one and two kernel blocks +- 2, and 2e7
-BLOCK = 35 * 30030
+# one and two kernel blocks +- 2 (a block is a whole number of periods),
+# and 2e7
+BLOCK = DEFAULT_BLOCK // 30030 * 30030
 EDGE_N = [4, 6, 8, 48, 120, 166, 168, 170,
           30028, 30032, 60058, 60062, 30030 * 7 - 2, 30030 * 7 + 2,
           BLOCK - 2, BLOCK + 2, 2 * BLOCK - 2, 2 * BLOCK + 2, 20_000_000]
@@ -254,10 +256,60 @@ class TestPhi:
         assert legendre._phi(x, 6, (2, 3, 5, 7, 11, 13)) == 5760 * 2**70 + 1
 
 
-def test_no_module_global_mutable_state():
-    for name, value in vars(legendre).items():
+@pytest.mark.parametrize("module", [legendre, xi], ids=["legendre", "xi"])
+def test_no_module_global_mutable_state(module):
+    for name, value in vars(module).items():
         if name.startswith("__"):
             continue
         assert not isinstance(value, (dict, list, set, bytearray)), name
         if isinstance(value, np.ndarray):
             assert not value.flags.writeable, name
+
+
+def _literal_marks(lo, hi, passes, block_size, blank):
+    """The marks after each pass, position by position."""
+    marked = np.array([blank is not None and bool(blank[(x - lo) % block_size])
+                       for x in range(lo, hi + 1)], dtype=bool)
+    after = []
+    for marks in passes:
+        for p, first in marks:
+            for x in range(max(lo, first), hi + 1):
+                if (x - first) % p == 0:
+                    marked[x - lo] = True
+        after.append(marked.copy())
+    return marked, after
+
+
+class TestMarkingKernel:
+    # firsts up to past the range: p*p beyond block 0, a class's first
+    # member inside a later block, or no member at all
+    @given(data=st.data())
+    @example(data=None)
+    def test_matches_literal_marking(self, data):
+        if data is None:
+            lo, hi, block_size, blank = 0, 99, 10, None
+            passes = [[(3, 9), (7, 49)], [(11, 121), (2, 0)]]
+        else:
+            lo = data.draw(st.integers(0, 300), label="lo")
+            hi = data.draw(st.integers(lo, lo + 300), label="hi")
+            block_size = data.draw(st.integers(1, hi - lo + 1), label="block_size")
+            mark = st.tuples(st.integers(1, 40), st.integers(0, hi + 50))
+            passes = data.draw(st.lists(st.lists(mark, max_size=6), max_size=3),
+                               label="passes")
+            blank = data.draw(st.none() | st.lists(st.booleans(), min_size=block_size,
+                                                   max_size=block_size), label="blank")
+            blank = None if blank is None else np.array(blank, dtype=bool)
+        final, after = _literal_marks(lo, hi, passes, block_size, blank)
+        starts, blocks = [], []
+        for start, block, counts in legendre._mark_blocks(lo, hi, passes, block_size, blank):
+            i = start - lo
+            assert block.size == min(block_size, hi + 1 - start)
+            assert counts == [int(a[i : i + block.size].sum()) for a in after]
+            starts.append(start)
+            blocks.append(block.copy())
+        assert starts == list(range(lo, hi + 1, block_size))
+        assert np.array_equal(np.concatenate(blocks), final)
+
+    def test_bad_block_size(self):
+        with pytest.raises(ValueError):
+            list(legendre._mark_blocks(1, 10, (), 0))
