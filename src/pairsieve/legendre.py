@@ -155,10 +155,11 @@ def subset_products(primes: Sequence[int], bound: int) -> Iterator[tuple[int, in
     yield from rec(0, 1, 0)
 
 
-#: Positions per block of the marking kernel, clipped to the range. The
-#: cost of a block is Python overhead per slice assignment, not memory
-#: bandwidth, so large blocks win; 2^20 was fastest in a sweep at n near
-#: 2e7 and 1e8. Results are identical for any size >= 1.
+#: Positions per block of the marking kernel, clipped to the range; the
+#: wheel-presieved counts take the whole periods that fit. The cost of a
+#: block is Python overhead per slice assignment, not memory bandwidth,
+#: so large blocks win; 2^20 was fastest in a sweep of the pair sieve at
+#: n near 2e7 and 1e8. Results are identical for any size >= 1.
 DEFAULT_BLOCK = 1 << 20
 
 

@@ -10,10 +10,10 @@ are precisely the x with x and n - x both prime.
 Positions knocked out by a prime dividing n are counted as ``hat``,
 positions knocked out only by non-dividing primes as ``tilde``; the two
 are disjoint by construction, so hat + tilde + survivors partitions the
-interval. The sieve is two passes of ``legendre``'s residue-class marking
-kernel: class 0 of the dividing primes, counted as hat, then both
-classes of the others. A scanner compares the survivor count per n against the
-analytic lower bound (n - 4*sqrt(n)) / ln^2(n - sqrt(n)).
+interval. The sieve is two passes of ``legendre``'s residue-class
+marking kernel: class 0 of the dividing primes, counted as hat, then
+both classes of the others. A scanner compares the survivor count per n
+against the analytic lower bound (n - 4*sqrt(n)) / ln^2(n - sqrt(n)).
 
 Over the default interval the survivors are exactly the prime pairs, so
 a scan over many n reads their counts off one shared prime bitmap (an

@@ -309,7 +309,3 @@ class TestMarkingKernel:
             blocks.append(block.copy())
         assert starts == list(range(lo, hi + 1, block_size))
         assert np.array_equal(np.concatenate(blocks), final)
-
-    def test_bad_block_size(self):
-        with pytest.raises(ValueError):
-            list(legendre._mark_blocks(1, 10, (), 0))
