@@ -155,11 +155,13 @@ def subset_products(primes: Sequence[int], bound: int) -> Iterator[tuple[int, in
     yield from rec(0, 1, 0)
 
 
-#: Positions per block of the marking kernel, clipped to the range; the
-#: wheel-presieved counts take the whole periods that fit. The cost of a
-#: block is Python overhead per slice assignment, not memory bandwidth,
-#: so large blocks win; 2^20 was fastest in a sweep of the pair sieve at
-#: n near 2e7 and 1e8. Results are identical for any size >= 1.
+#: Positions per block of the marking kernel, clipped to the range: the
+#: integers here, whose wheel-presieved counts take the whole periods
+#: that fit, and the odd indices i of x = 2i + 1 in ``xi``, so 2^21
+#: integers there. The cost of a block is Python overhead per slice
+#: assignment, not memory bandwidth, so large blocks win; 2^19 to 2^21
+#: were level for ``xi`` at n near 2e7 and 2^20 fastest at 1e8. Results
+#: are identical for any size >= 1.
 DEFAULT_BLOCK = 1 << 20
 
 
@@ -180,8 +182,8 @@ def _mark_blocks(
     """
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
-    buf = np.empty(min(block_size, hi - lo + 1), dtype=bool)
-    for start in range(lo, hi + 1, buf.size):
+    buf = np.empty(max(0, min(block_size, hi - lo + 1)), dtype=bool)
+    for start in range(lo, hi + 1, block_size):
         block = buf[: min(buf.size, hi + 1 - start)]
         block[:] = False if blank is None else blank[: block.size]
         counts = []

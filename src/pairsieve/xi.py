@@ -10,10 +10,17 @@ are precisely the x with x and n - x both prime.
 Positions knocked out by a prime dividing n are counted as ``hat``,
 positions knocked out only by non-dividing primes as ``tilde``; the two
 are disjoint by construction, so hat + tilde + survivors partitions the
-interval. The sieve is two passes of ``legendre``'s residue-class
-marking kernel: class 0 of the dividing primes, counted as hat, then
-both classes of the others. A scanner compares the survivor count per n
-against the analytic lower bound (n - 4*sqrt(n)) / ln^2(n - sqrt(n)).
+interval. p = 2 divides n, so every even x is hat, counted in closed
+form; the sieve marks the odd x alone, index i standing for x = 2i + 1,
+in two passes of ``legendre``'s residue-class marking kernel: class 0 of
+the odd dividing primes, counted as hat, then both classes of the
+others. Each position read forward and backward sums to n
+(``xi_identity``), so all three sets are symmetric under x -> n - x: on
+a symmetric interval, the default one included, only [a, n/2] is marked
+and every count doubled, less the centre n/2 when it is odd. That
+centre is hat if an odd basis prime divides n, never tilde, and a
+survivor otherwise. A scanner compares the survivor count per n against
+the analytic lower bound (n - 4*sqrt(n)) / ln^2(n - sqrt(n)).
 
 Over the default interval the survivors are exactly the prime pairs, so
 a scan over many n reads their counts off one shared prime bitmap (an
@@ -32,7 +39,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .legendre import DEFAULT_BLOCK, _mark_blocks, count_multiples, subset_products
+from .legendre import DEFAULT_BLOCK, _mark_blocks
 from .oracle import PrimeTable, build_prime_table, is_prime_trial, primes_upto
 
 __all__ = [
@@ -236,86 +243,119 @@ def classify_pair(x: int, n: int) -> PairClass:
 # ---------------------------------------------------------------------------
 
 
-def _passes(basis: ResidueBasis) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """The kernel's two passes for a basis: class 0 of the primes dividing
-    n, whose count is hat, then classes 0 and m of the others, which bring
-    it to hat + tilde."""
+def _odd_passes(basis: ResidueBasis) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The kernel's two passes over the odd x = 2i + 1, as (p, first i):
+    class 0 of the odd primes dividing n, whose count is the odd part of
+    hat, then classes 0 and m of the others, which bring it to hat +
+    tilde. Class c of p is i = (c - 1)(p + 1)/2 (mod p), (p + 1)/2 being
+    the inverse of 2; p = 2 marks the even x alone, which are counted
+    apart."""
     hat, other = [], []
     for p, m, divides in basis.entries:
+        if p == 2:
+            continue
         if divides:
-            hat.append((p, 0))
+            hat.append((p, (p - 1) // 2))
         else:
-            other += ((p, 0), (p, m))
+            other += ((p, (p - 1) // 2), (p, (m - 1) * (p + 1) // 2 % p))
     return hat, other
 
 
-def _hat_inclusion_exclusion(dividing: Sequence[int], a: int, b: int) -> int:
-    """Positions of [a, b] divisible by some prime of ``dividing``, by
-    signed subset products."""
-    total = 0
-    for prod, k in subset_products(dividing, b):
-        total += (1 if k % 2 else -1) * count_multiples(a, b, prod)
-    return total
+def _signed_divisors(primes: Sequence[int], bound: int) -> list[tuple[int, int]]:
+    """(d, sign) for every squarefree product d > 1 of ``primes`` up to
+    ``bound``: sign 1 for an odd number of factors, -1 for an even one."""
+    terms = [(1, -1)]
+    for p in primes:
+        terms += [(d * p, -s) for d, s in terms if d * p <= bound]
+    return terms[1:]
+
+
+def _hat_inclusion_exclusion(divisors: Sequence[tuple[int, int]], a: int, b: int) -> int:
+    """Positions of [a, b] divisible by some prime, from the signed
+    products of those primes that ``_signed_divisors`` lists."""
+    return sum(s * (b // d - (a - 1) // d) for d, s in divisors)
 
 
 def _sieve(
-    basis: ResidueBasis, block_size: int, with_list: bool
-) -> tuple[PairCounts, list[int] | None]:
-    """One kernel pass over the interval: the partition and, if asked, the
-    ascending survivors. The marked hat count is re-derived by
-    inclusion-exclusion; a disagreement means a broken sieve and raises."""
-    passes = _passes(basis)
+    basis: ResidueBasis, block_size: int, passes: int = 2, with_list: bool = False
+) -> tuple[int, int, np.ndarray | None]:
+    """hat, hat + tilde and, if asked, the ascending survivors over the
+    interval; with ``passes=1`` only the dividing primes are marked, and
+    only hat is meant.
+
+    The even x are all hat, by p = 2, and are counted in closed form; the
+    kernel marks the odd x. The sets are symmetric under x -> n - x, so
+    on a symmetric interval (a + b = n) only [a, n/2] is marked and each
+    count doubled, less the centre n/2 when it is odd: then it is hat if
+    an odd basis prime divides n, since p | n/2 exactly when p | n, and
+    never tilde, since n/2 = n (mod p) means p | n/2. It survives
+    otherwise. The marked hat plus the even x is re-derived by
+    inclusion-exclusion; a disagreement means a broken sieve and raises.
+    """
     n, (a, b) = basis.n, basis.interval
+    h = n // 2
+    symmetric = a + b == n
+    odd_passes = _odd_passes(basis)
     hat = composite = 0
-    survivors: list[int] | None = [] if with_list else None
-    for lo, marked, (seg_hat, seg_composite) in _mark_blocks(a, b, passes, block_size):
-        hat += seg_hat
-        composite += seg_composite
-        if survivors is not None:
-            survivors.extend((np.flatnonzero(np.logical_not(marked, out=marked)) + lo).tolist())
-    ie = _hat_inclusion_exclusion([p for p, _ in passes[0]], a, b)
+    chunks = []
+    hi = ((h if symmetric else b) - 1) // 2
+    for lo, marked, counts in _mark_blocks(a // 2, hi, odd_passes[:passes], block_size):
+        hat += counts[0]
+        composite += counts[-1]
+        if with_list:
+            chunks.append(np.flatnonzero(np.logical_not(marked, out=marked)) * 2 + (2 * lo + 1))
+    survivors = np.concatenate([np.empty(0, np.intp), *chunks]) if with_list else None
+    if symmetric:
+        centre_hat = h % 2 == 1 and bool(odd_passes[0])
+        hat = 2 * hat - centre_hat
+        composite = 2 * composite - centre_hat
+        if with_list:
+            centre_survives = int(h % 2 == 1 and not centre_hat)
+            survivors = np.concatenate((survivors, n - survivors[::-1][centre_survives:]))
+    evens = b // 2 - (a - 1) // 2
+    hat += evens
+    composite += evens
+    ie = _hat_inclusion_exclusion(_signed_divisors(basis.dividing, b), a, b)
     if hat != ie:
         raise RuntimeError(f"hat marking {hat} != inclusion-exclusion {ie} for n={n}")
-    length = b - a + 1
-    counts = PairCounts(
-        n=n,
-        interval=(a, b),
-        length=length,
-        hat=hat,
-        tilde=composite - hat,
-        composite_pairs=composite,
-        prime_pairs=length - composite,
-    )
-    return counts, survivors
+    return hat, composite, survivors
+
+
+def _partition(basis: ResidueBasis, hat: int, composite: int) -> PairCounts:
+    length = basis.length
+    return PairCounts(n=basis.n, interval=basis.interval, length=length, hat=hat,
+                      tilde=composite - hat, composite_pairs=composite,
+                      prime_pairs=length - composite)
 
 
 def double_sieve(basis: ResidueBasis, block_size: int = DEFAULT_BLOCK) -> np.ndarray:
     """Survivor bitmap over the basis interval, sieved in segments.
 
     Position i covers x = a + i; True means x and n - x have no prime
-    factor <= sqrt(n). Working memory is one block plus the basis,
-    independent of n; the result itself spans the interval.
+    factor <= sqrt(n). Working memory is one block plus the basis and
+    its survivors; the result itself spans the interval.
     """
-    out = np.empty(basis.length, dtype=bool)
-    a = basis.a
-    for lo, marked, _ in _mark_blocks(a, basis.b, _passes(basis), block_size):
-        np.logical_not(marked, out=out[lo - a : lo - a + marked.size])
+    survivors = _sieve(basis, block_size, with_list=True)[2]
+    out = np.zeros(basis.length, dtype=bool)
+    out[survivors - basis.a] = True
     return out
 
 
 def hat_composite_pairs(basis: ResidueBasis, block_size: int = DEFAULT_BLOCK) -> int:
-    """Positions hit by a prime dividing n, counted by marking.
+    """Positions hit by a prime dividing n, counted by marking those
+    primes alone.
 
     The same count is recomputed by signed subset products over the
     dividing primes; a disagreement means a broken sieve and raises.
     """
-    return _sieve(basis, block_size, with_list=False)[0].hat
+    return _sieve(basis, block_size, passes=1)[0]
 
 
 def tilde_composite_pairs(basis: ResidueBasis, block_size: int = DEFAULT_BLOCK) -> int:
     """Positions missed by every dividing prime but hit through some
     non-dividing prime's class 0 or class m. Marking implementation."""
-    return _sieve(basis, block_size, with_list=False)[0].tilde
+    hat, composite, _ = _sieve(basis, block_size)
+    return composite - hat
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +421,8 @@ def tilde_composite_pairs_ie(basis: ResidueBasis) -> int:
         return 0
     a, b = basis.interval
     total = _union_count(nd, a, b, 1)
-    for prod, k in subset_products(basis.dividing, b):
-        total += (-1 if k % 2 else 1) * _union_count(nd, a, b, prod)
+    for d, s in _signed_divisors(basis.dividing, b):
+        total -= s * _union_count(nd, a, b, d)
     return total
 
 
@@ -402,7 +442,9 @@ def pair_counts(
     One segmented pass computes all three counts; the hat count is then
     re-derived by inclusion-exclusion as a consistency check.
     """
-    return _sieve(make_residue_basis(n, table, interval), block_size, False)[0]
+    basis = make_residue_basis(n, table, interval)
+    hat, composite, _ = _sieve(basis, block_size)
+    return _partition(basis, hat, composite)
 
 
 def prime_pair_list(
@@ -423,7 +465,9 @@ def pair_counts_and_list(
     block_size: int = DEFAULT_BLOCK,
 ) -> tuple[PairCounts, list[int]]:
     """``pair_counts`` and ``prime_pair_list`` from a single sieve pass."""
-    return _sieve(make_residue_basis(n, table, interval), block_size, True)
+    basis = make_residue_basis(n, table, interval)
+    hat, composite, survivors = _sieve(basis, block_size, with_list=True)
+    return _partition(basis, hat, composite), survivors.tolist()
 
 
 def bound_value(n: int) -> float:
@@ -503,12 +547,18 @@ def _bitmap_span(span: tuple[int, int, int, int]) -> list[PairCounts]:
     rev = odd[::-1].copy()
     buf = np.empty(odd.size // 2 + 1, dtype=bool)
     sieved = {n: pair_counts(n, small, block_size=block_size) for n in (start, end)}
+    # the signed products of each set of dividing primes met in this span,
+    # up to its last n, which covers every interval of the span
+    divisors: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     out = []
     for n in range(start, end + 1, step):
         a, b = default_interval(n)
         length = b - a + 1
         ps = primes_upto(small.primes, math.isqrt(n))
-        hat = _hat_inclusion_exclusion(ps[n % ps == 0].tolist(), a, b)
+        dividing = tuple(ps[n % ps == 0].tolist())
+        if dividing not in divisors:
+            divisors[dividing] = _signed_divisors(dividing, end)
+        hat = _hat_inclusion_exclusion(divisors[dividing], a, b)
         pairs = _pair_count(odd, rev, buf, n, a)
         if pairs < 0 or hat + pairs > length:
             raise RuntimeError(f"bitmap counts hat={hat} prime_pairs={pairs} impossible "

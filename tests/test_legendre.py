@@ -309,3 +309,8 @@ class TestMarkingKernel:
             blocks.append(block.copy())
         assert starts == list(range(lo, hi + 1, block_size))
         assert np.array_equal(np.concatenate(blocks), final)
+
+    def test_empty_range_yields_no_block(self):
+        assert list(legendre._mark_blocks(5, 4, [[(3, 0)]], 2)) == []
+        with pytest.raises(ValueError):
+            list(legendre._mark_blocks(5, 4, [[(3, 0)]], 0))

@@ -22,6 +22,7 @@ from pairsieve import (
     iter_pair_counts,
     make_residue_basis,
     pair_counts,
+    pair_counts_and_list,
     prime_pair_list,
     scan_bounds,
     tilde_composite_pairs,
@@ -32,6 +33,11 @@ from pairsieve import xi
 from pairsieve.xi import ResidueBasis, ResidueEntry
 
 GOLDEN_100 = [11, 17, 29, 41, 47, 53, 59, 71, 83, 89]
+
+
+@pytest.fixture(scope="module")
+def table_100k():
+    return build_prime_table(100_000)
 
 
 class TestDefaultInterval:
@@ -170,6 +176,73 @@ class TestDoubleSieve:
     def test_bad_block_size(self, table_20k):
         with pytest.raises(ValueError):
             double_sieve(make_residue_basis(100, table_20k), block_size=0)
+
+
+def _literal_sieve(basis):
+    """hat, hat + tilde and the survivors of the basis interval, marked
+    x by x over the whole interval, even x and both halves included."""
+    xs = np.arange(basis.a, basis.b + 1)
+    hat = np.zeros(xs.size, dtype=bool)
+    for p in basis.dividing:
+        hat |= xs % p == 0
+    marked = hat.copy()
+    for p, m, _ in basis.nondividing:
+        marked |= (xs % p == 0) | (xs % p == m)
+    return int(hat.sum()), int(marked.sum()), xs[~marked].tolist()
+
+
+class TestOddHalfLayout:
+    """The sieve marks odd x only, and over the half [a, n/2] of a
+    symmetric interval; both must give what marking every x gives."""
+
+    @staticmethod
+    def _check(table, n, interval, block):
+        basis = make_residue_basis(n, table, interval)
+        hat, composite, survivors = _literal_sieve(basis)
+        counts, pairs = pair_counts_and_list(n, table, interval, block)
+        assert (counts.hat, counts.composite_pairs, pairs) == (hat, composite, survivors)
+        assert hat_composite_pairs(basis, block) == hat
+        assert (np.flatnonzero(double_sieve(basis, block)) + basis.a).tolist() == survivors
+        # inside (sqrt(n), n - sqrt(n)) the survivors are the prime pairs
+        r = math.isqrt(n)
+        lo, hi = max(basis.a, r + 1), min(basis.b, n - r - 1)
+        if lo <= hi:
+            assert [x for x in survivors if lo <= x <= hi] == \
+                goldbach_pairs_oracle(table, n, (lo, hi))
+
+    # n/2 even; n = 2q, q prime, so the odd centre survives; n/2 odd with
+    # the odd factor 3 <= sqrt(n), so the centre is hat; n = 0 (mod 30030)
+    @pytest.mark.parametrize("n", [1000, 4096, 2 * 4999, 2 * 7919, 2 * 3 * 3331,
+                                   2 * 3 * 5 * 7, 30030])
+    @pytest.mark.parametrize("block", [3, 1 << 20])
+    def test_centre_cases(self, table_100k, n, block):
+        h = n // 2
+        for interval in (None, (1, n - 1), (h, h), (h - 1, h + 1), (3, h + 2), (h + 1, n - 1)):
+            self._check(table_100k, n, interval, block)
+
+    @given(n=st.integers(4, 3000).map(lambda k: 2 * k), data=st.data())
+    @example(n=8, data=None)
+    def test_matches_literal_marking_and_oracle(self, table_100k, n, data):
+        if data is None:
+            intervals, block = [(1, 7), (3, 5), (4, 4), (5, 7)], 1
+        else:
+            a = data.draw(st.integers(1, n // 2), label="a")
+            b = data.draw(st.integers(a, n - 1), label="b")
+            c = data.draw(st.integers(n // 2, n - 1), label="c")
+            intervals = [None, (1, n - 1), (a, n - a), (a, b), (c, data.draw(
+                st.integers(c, n - 1), label="d"))]
+            block = data.draw(st.integers(1, 64) | st.sampled_from([1000, 1 << 20]),
+                              label="block")
+        for interval in intervals:
+            self._check(table_100k, n, interval, block)
+
+    def test_centre_is_counted_once(self, table_20k):
+        # n/2 = 4999 is prime, so the one odd centre is a pair with itself
+        assert prime_pair_list(2 * 4999, table_20k, (4999, 4999)) == [4999]
+        assert prime_pair_list(2 * 4999, table_20k, (4997, 5001)).count(4999) == 1
+        # n/2 = 3 * 3331: 3 divides n, so the centre is hat
+        counts = pair_counts(2 * 3 * 3331, table_20k, (3 * 3331, 3 * 3331))
+        assert (counts.hat, counts.tilde, counts.prime_pairs) == (1, 0, 0)
 
 
 class TestHatTilde:
