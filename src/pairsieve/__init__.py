@@ -18,6 +18,7 @@ from .theta import (
     float_approx,
     theta,
     theta_sin,
+    theta_sin_array,
     theta_sin_shift,
     theta_sum_identity,
 )

@@ -28,6 +28,8 @@ import random
 import sys
 from typing import IO, Iterator, Optional
 
+import numpy as np
+
 from . import legendre, oracle, xi
 from .theta import (
     DEFAULT_EPSILON,
@@ -36,6 +38,7 @@ from .theta import (
     float_approx,
     theta,
     theta_sin,
+    theta_sin_array,
     theta_sum_identity,
 )
 
@@ -248,8 +251,18 @@ def cmd_scan_bound(args: argparse.Namespace, out: IO[str]) -> int:
 
 SUITES = ("oracle-equivalence", "partition", "symmetry", "identity", "float-exact-agreement")
 
-#: One check: its suite, and None if it passed or the counterexample if not.
-Check = tuple[str, Optional[str]]
+#: One batch of checks: its suite, how many checks it ran, and the
+#: counterexamples of those that failed.
+Check = tuple[str, int, list[str]]
+
+#: Draws per array batch of the float-exact-agreement suite; one grid row
+#: is one batch too. Batches keep the arrays, and so the peak memory, small.
+_BATCH = 2000
+
+
+def _one(suite: str, failure: Optional[str]) -> Check:
+    """A batch of one check: None if it passed, else its counterexample."""
+    return suite, 1, [] if failure is None else [failure]
 
 
 def _count_in_class(a: int, b: int, r: int, p: int) -> int:
@@ -270,33 +283,34 @@ def _pair_checks(max_n: int) -> Iterator[Check]:
         pi = {method: legendre.prime_count(n, method, table)
               for method in legendre.PRIME_METHODS}
         for method, got in pi.items():
-            yield "oracle-equivalence", (
+            yield _one("oracle-equivalence", (
                 None if got == expected
-                else f"prime_count({n}, {method}) = {got}, oracle {expected}")
+                else f"prime_count({n}, {method}) = {got}, oracle {expected}"))
         counts, pairs = xi.pair_counts_and_list(n, table)
         brute = oracle.goldbach_pairs_oracle(table, n, counts.interval)
-        yield "oracle-equivalence", (
-            None if pairs == brute else f"pair list at n={n} disagrees with brute force")
-        yield "partition", (
+        yield _one("oracle-equivalence", (
+            None if pairs == brute else f"pair list at n={n} disagrees with brute force"))
+        yield _one("partition", (
             None if counts.prime_pairs == len(pairs)
-            else f"prime_pairs {counts.prime_pairs} != list length {len(pairs)} at n={n}")
+            else f"prime_pairs {counts.prime_pairs} != list length {len(pairs)} at n={n}"))
         total = legendre.composite_count(n, "legendre", table) + pi["legendre"] + 1
-        yield "partition", None if total == n else f"composites + primes + 1 = {total} != {n}"
+        yield _one("partition",
+                   None if total == n else f"composites + primes + 1 = {total} != {n}")
         if n not in sample:
             continue
         # the list half of the same pass as its own public call; kept, with
         # its check count, so a traced run still records a prime_pair_list span
-        yield "oracle-equivalence", (
+        yield _one("oracle-equivalence", (
             None if xi.prime_pair_list(n, table) == brute
-            else f"prime_pair_list({n}) disagrees with brute force")
+            else f"prime_pair_list({n}) disagrees with brute force"))
         for p, m, _ in xi.make_residue_basis(n, table).entries:
             fwd, bwd = _count_in_class(1, n - 1, 0, p), _count_in_class(1, n - 1, m, p)
-            yield "symmetry", (
+            yield _one("symmetry", (
                 None if fwd == bwd and (n - m) % p == 0
-                else f"divisor-count symmetry broken: n={n}, p={p}, m={m}")
-        yield "symmetry", (
+                else f"divisor-count symmetry broken: n={n}, p={p}, m={m}"))
+        yield _one("symmetry", (
             None if sorted(n - x for x in pairs) == pairs
-            else f"pair list not closed under x -> n - x at n={n}")
+            else f"pair list not closed under x -> n - x at n={n}"))
 
 
 def _identity_checks(rng: random.Random) -> Iterator[Check]:
@@ -304,38 +318,49 @@ def _identity_checks(rng: random.Random) -> Iterator[Check]:
         s = rng.uniform(-1e6, 1e6)
         m = rng.choice([v for v in range(-10, 11) if v])
         k = rng.randint(1, 5)
-        yield "identity", (
+        yield _one("identity", (
             None if theta(m * s**k) == theta(s)
-            else f"scaling identity broken at m={m}, k={k}, s={s!r}")
+            else f"scaling identity broken at m={m}, k={k}, s={s!r}"))
     for _ in range(2000):
         a = 0.0 if rng.random() < 0.1 else rng.uniform(-1e3, 1e3)
         b = 0.0 if rng.random() < 0.1 else rng.uniform(-1e3, 1e3)
-        yield "identity", (
+        yield _one("identity", (
             None if double_theta(a * b) == double_theta(a) * double_theta(b)
-            else f"product rule broken at a={a!r}, b={b!r}")
+            else f"product rule broken at a={a!r}, b={b!r}"))
     for _ in range(2000):
         x = 0.0 if rng.random() < 0.1 else rng.uniform(-1e3, 1e3)
         y = 0.0 if rng.random() < 0.1 else rng.uniform(-1e3, 1e3)
         if x + y == 0 and x != 0:
             continue
         lhs, rhs = theta_sum_identity(x, y)
-        yield "identity", None if lhs == rhs else f"sum identity broken at x={x!r}, y={y!r}"
+        yield _one("identity", None if lhs == rhs else f"sum identity broken at x={x!r}, y={y!r}")
     lhs, rhs = theta_sum_identity(1, -1)
-    yield "identity", None if lhs != rhs else "sum identity unexpectedly held at (1, -1)"
+    yield _one("identity", None if lhs != rhs else "sum identity unexpectedly held at (1, -1)")
+
+
+def _agreement(x: np.ndarray, d: np.ndarray, mode: ThetaMode) -> Check:
+    """One batch of float-exact-agreement: ``theta_sin_array`` in both modes
+    at every (x, d), in order, and at the first (x, d) the scalar
+    ``theta_sin`` against the array path, which adds no check."""
+    exact, approx = theta_sin_array(x, d), theta_sin_array(x, d, mode)
+    x0, d0 = int(x[0]), int(d[0])
+    failures = ([] if (theta_sin(x0, d0), theta_sin(x0, d0, mode)) == (exact[0], approx[0])
+                else [f"scalar theta_sin disagrees with the array path at x={x0}, d={d0}"])
+    failures += [f"mode disagreement at x={x[i]}, d={d[i]}"
+                 for i in np.flatnonzero(exact != approx).tolist()]
+    return "float-exact-agreement", len(x), failures
 
 
 def _float_exact_checks(mode: ThetaMode, rng: random.Random, max_n: int) -> Iterator[Check]:
+    """Every x in [0, 2000) against every d in 1..50, one row per d, then
+    20,000 random (x, d) in batches of ``_BATCH``."""
+    xs = np.arange(2000)
     for d in range(1, 51):
-        for x in range(0, 2000):
-            yield "float-exact-agreement", (
-                None if theta_sin(x, d) == theta_sin(x, d, mode)
-                else f"mode disagreement at x={x}, d={d}")
-    for _ in range(20000):
-        d = rng.randint(1, 1000)
-        x = rng.randint(0, min(max_n * 50, 10**6))
-        yield "float-exact-agreement", (
-            None if theta_sin(x, d) == theta_sin(x, d, mode)
-            else f"mode disagreement at x={x}, d={d}")
+        yield _agreement(xs, np.full_like(xs, d), mode)
+    hi = min(max_n * 50, 10**6)
+    for _ in range(20000 // _BATCH):
+        d, x = np.array([(rng.randint(1, 1000), rng.randint(0, hi)) for _ in range(_BATCH)]).T
+        yield _agreement(x, d, mode)
 
 
 def cmd_selftest(args: argparse.Namespace, out: IO[str]) -> int:
@@ -347,10 +372,9 @@ def cmd_selftest(args: argparse.Namespace, out: IO[str]) -> int:
     failures: dict[str, list[str]] = {name: [] for name in SUITES}
     for run in (_pair_checks(args.max_n), _identity_checks(rng),
                 _float_exact_checks(mode, rng, args.max_n)):
-        for suite, failure in run:
-            checks[suite] += 1
-            if failure is not None:
-                failures[suite].append(failure)
+        for suite, ran, failed in run:
+            checks[suite] += ran
+            failures[suite] += failed
     for name in SUITES:
         status = "ok" if not failures[name] else "FAIL"
         print(f"{name}: {checks[name]} checks, {len(failures[name])} failures [{status}]",

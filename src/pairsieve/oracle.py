@@ -127,4 +127,4 @@ def goldbach_pairs_oracle(
         raise ValueError(f"table covers only {table.limit}, need {n}")
     flags = table.flags
     hits = flags[a : b + 1] & flags[n - b : n - a + 1][::-1]
-    return [int(x) for x in np.flatnonzero(hits) + a]
+    return (np.flatnonzero(hits) + a).tolist()

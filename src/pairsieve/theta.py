@@ -11,12 +11,19 @@ for integers means d | x. Two semantics are provided:
 
 The exact semantics is authoritative; the float form exists so the
 sine construction can be demonstrated and checked against it.
+
+``theta_sin`` is the scalar, literal form. ``theta_sin_array`` evaluates
+the same indicator over whole integer arrays in either semantics, with
+the same domain and guard checks, so large agreement checks run as a few
+ufunc calls rather than one interpreted call per (x, d).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "DEFAULT_EPSILON",
@@ -28,6 +35,7 @@ __all__ = [
     "float_approx",
     "theta",
     "theta_sin",
+    "theta_sin_array",
     "theta_sin_shift",
     "double_theta",
     "theta_sum_identity",
@@ -119,6 +127,30 @@ def theta_sin(
         return 1 if x % d == 0 else 0
     _check_guard(x, d, guard)
     return 1 if abs(math.sin(x * math.pi / d)) < mode.epsilon else 0
+
+
+def theta_sin_array(
+    x: np.ndarray, d: np.ndarray, mode: ThetaMode = EXACT, guard: GuardedDomain = DEFAULT_GUARD
+) -> np.ndarray:
+    """``theta_sin`` elementwise over integer arrays (broadcast), as bools.
+
+    Exact mode tests ``x % d == 0``; float mode tests
+    ``|sin(x*pi/d)| < mode.epsilon``. Like the scalar form it raises
+    ValueError for any x < 0 or d < 1, and in float mode GuardError for
+    any element outside ``guard``.
+    """
+    x, d = np.broadcast_arrays(np.asarray(x), np.asarray(d))
+    if x.min(initial=0) < 0:
+        raise ValueError(f"x must be >= 0, got {x.min()}")
+    if d.min(initial=1) < 1:
+        raise ValueError(f"d must be >= 1, got {d.min()}")
+    if mode.is_exact:
+        return x % d == 0
+    outside = (x > guard.max_x) | (d > guard.max_d)
+    if outside.any():
+        i = np.flatnonzero(outside)[0]
+        _check_guard(int(x.flat[i]), int(d.flat[i]), guard)
+    return np.abs(np.sin(x * math.pi / d)) < mode.epsilon
 
 
 def theta_sin_shift(

@@ -209,10 +209,8 @@ def make_residue_basis(
     r = math.isqrt(n)
     if table.limit < r:
         raise ValueError(f"table covers only {table.limit}, need {r}")
-    entries = tuple(
-        ResidueEntry(p=p, m=n % p, divides_n=n % p == 0)
-        for p in primes_upto(table.primes, r).tolist()
-    )
+    entries = tuple([ResidueEntry(p, n % p, n % p == 0)
+                     for p in primes_upto(table.primes, r).tolist()])
     return ResidueBasis(n=n, interval=interval or default_interval(n), entries=entries)
 
 

@@ -9,7 +9,8 @@ import types
 import pytest
 
 from pairsieve import (
-    build_prime_table, cli, goldbach_pairs_oracle, pair_counts, prime_pair_list, xi,
+    EXACT, build_prime_table, cli, goldbach_pairs_oracle, pair_counts,
+    prime_pair_list, theta_sin, theta_sin_array, xi,
 )
 from pairsieve.cli import build_parser, main
 
@@ -202,6 +203,31 @@ class TestSelftest:
             assert code == 1, shift
             assert re.search(r"^oracle-equivalence: \d+ checks, 0 failures \[ok\]$", out, re.M)
             assert re.search(r"^symmetry: \d+ checks, [1-9]\d* failures \[FAIL\]$", out, re.M)
+
+
+    def test_float_suite_names_a_flipped_array_element(self, capsys, monkeypatch):
+        # the float array path is wrong at one (x, d) of the grid that is not
+        # the first of its row, so the spot check does not see it
+        def flipped(x, d, mode=EXACT):
+            hits = theta_sin_array(x, d, mode)
+            return hits if mode.is_exact else hits ^ ((x == 1234) & (d == 7))
+        monkeypatch.setattr(cli, "theta_sin_array", flipped)
+        code, out, _ = run(capsys, "selftest", "--max-n", "100")
+        assert code == 1
+        assert "float-exact-agreement: 120000 checks, 1 failures [FAIL]\n" \
+               "  first counterexample: mode disagreement at x=1234, d=7\n" in out
+
+    def test_float_suite_spot_checks_the_scalar_form(self, capsys, monkeypatch):
+        # a wrong scalar theta_sin shows at the first element of every batch:
+        # the 50 grid rows and the 10 batches of draws
+        monkeypatch.setattr(cli, "theta_sin",
+                            lambda x, d, mode=EXACT: 1 - theta_sin(x, d, mode))
+        code, out, _ = run(capsys, "selftest", "--max-n", "100")
+        assert code == 1
+        assert "float-exact-agreement: 120000 checks, 60 failures [FAIL]\n  first " \
+               "counterexample: scalar theta_sin disagrees with the array path at x=0, d=1\n" \
+               in out
+        assert out.count("[ok]") == 4
 
 
 class TestExitCodes:

@@ -1,9 +1,12 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from pairsieve import (
+    DEFAULT_EPSILON,
     EXACT,
     GuardError,
     GuardedDomain,
@@ -12,6 +15,7 @@ from pairsieve import (
     float_approx,
     theta,
     theta_sin,
+    theta_sin_array,
     theta_sin_shift,
     theta_sum_identity,
 )
@@ -99,6 +103,73 @@ class TestThetaSin:
            st.integers(min_value=1, max_value=10**3))
     def test_mode_agreement_sampled(self, x, d):
         assert theta_sin(x, d) == theta_sin(x, d, FLOAT8)
+
+
+class TestThetaSinArray:
+    def test_examples(self):
+        x = np.array([0, 3, 4, 10])
+        assert theta_sin_array(x, 3).tolist() == [True, True, False, False]
+        assert theta_sin_array(x, np.array([1, 3, 3, 5]), FLOAT8).tolist() == [True] * 2 + \
+            [False, True]
+        assert theta_sin_array(np.array([], dtype=np.int64), 3, FLOAT8).tolist() == []
+
+    def test_criterion_4_domain_agrees_with_margins(self):
+        # acceptance criterion 4's exhaustive grid and its 10^6 seeded draws,
+        # on the array path: float equals exact. True zeros evaluate to about
+        # 4e-11 on the grid (x <= 1e5) and to about 2.8e-9 among the draws
+        # (x near 1e7), a third of the tolerance as in the guard test above;
+        # the smallest nonzero sine, about 3.1e-4, sits far above it
+        zero_max, nonzero_min = 0.0, 1.0
+
+        def agree(x, d):
+            nonlocal zero_max, nonzero_min
+            exact = theta_sin_array(x, d)
+            assert np.array_equal(theta_sin_array(x, d, FLOAT8), exact)
+            sines = np.abs(np.sin(x * math.pi / d))
+            zero_max = max(zero_max, sines[exact].max(initial=0.0))
+            nonzero_min = min(nonzero_min, sines[~exact].min(initial=1.0))
+
+        xs = np.arange(100001)
+        for d in range(1, 101):
+            agree(xs, d)
+        assert zero_max < DEFAULT_EPSILON / 100
+        rng = random.Random(0xD1CE)
+        for _ in range(10):
+            d, x = np.array([(rng.randint(1, 10**4), rng.randint(0, 10**7))
+                             for _ in range(10**5)]).T
+            agree(x, d)
+        assert zero_max < DEFAULT_EPSILON / 3
+        assert nonzero_min > 100 * DEFAULT_EPSILON
+
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=10**7),
+                              st.integers(min_value=1, max_value=10**4)), min_size=1))
+    def test_matches_scalar_elementwise(self, pairs):
+        x, d = np.array(pairs).T
+        for mode in (EXACT, FLOAT8):
+            assert theta_sin_array(x, d, mode).tolist() == \
+                [theta_sin(a, b, mode) == 1 for a, b in pairs]
+
+    @pytest.mark.parametrize("x,d,mode,error", [
+        (-1, 3, EXACT, ValueError), (-1, 3, FLOAT8, ValueError),
+        (3, 0, EXACT, ValueError), (3, 0, FLOAT8, ValueError),
+        (10**7 + 1, 3, FLOAT8, GuardError), (5, 10**4 + 1, FLOAT8, GuardError),
+    ])
+    def test_errors_match_scalar(self, x, d, mode, error):
+        with pytest.raises(ValueError) as scalar:
+            theta_sin(x, d, mode)
+        # the bad element is not the first one
+        with pytest.raises(ValueError) as array:
+            theta_sin_array(np.array([6, x]), np.array([2, d]), mode)
+        assert scalar.type is array.type is error
+
+    def test_guard(self):
+        tight = GuardedDomain(max_x=100, max_d=10)
+        with pytest.raises(GuardError, match="x=101, d=3"):
+            theta_sin_array(np.array([99, 101]), 3, FLOAT8, guard=tight)
+        assert theta_sin_array(np.array([99, 100]), 3, FLOAT8, guard=tight).tolist() == \
+            [True, False]
+        # exact mode has no guard
+        assert theta_sin_array(np.array([10**9 + 1, 10**9]), 10**6).tolist() == [False, True]
 
 
 class TestThetaSinShift:
