@@ -339,9 +339,9 @@ def _identity_checks(rng: random.Random) -> Iterator[Check]:
 
 
 def _agreement(x: np.ndarray, d: np.ndarray, mode: ThetaMode) -> Check:
-    """One batch of float-exact-agreement: ``theta_sin_array`` in both modes
-    at every (x, d), in order, and at the first (x, d) the scalar
-    ``theta_sin`` against the array path, which adds no check."""
+    """One batch of float-exact-agreement: both modes of ``theta_sin_array``
+    at every (x, d), in order. At the first (x, d) the scalar ``theta_sin``
+    is compared with the array results too, as part of that check."""
     exact, approx = theta_sin_array(x, d), theta_sin_array(x, d, mode)
     x0, d0 = int(x[0]), int(d[0])
     failures = ([] if (theta_sin(x0, d0), theta_sin(x0, d0, mode)) == (exact[0], approx[0])
