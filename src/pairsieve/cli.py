@@ -341,13 +341,18 @@ def _identity_checks(rng: random.Random) -> Iterator[Check]:
 def _agreement(x: np.ndarray, d: np.ndarray, mode: ThetaMode) -> Check:
     """One batch of float-exact-agreement: both modes of ``theta_sin_array``
     at every (x, d), in order. At the first (x, d) the scalar ``theta_sin``
-    is compared with the array results too, as part of that check."""
+    is compared with the array results too, as part of that check, so a
+    batch has at most one failure per element."""
     exact, approx = theta_sin_array(x, d), theta_sin_array(x, d, mode)
     x0, d0 = int(x[0]), int(d[0])
-    failures = ([] if (theta_sin(x0, d0), theta_sin(x0, d0, mode)) == (exact[0], approx[0])
-                else [f"scalar theta_sin disagrees with the array path at x={x0}, d={d0}"])
+    if (theta_sin(x0, d0), theta_sin(x0, d0, mode)) != (exact[0], approx[0]):
+        failures = [f"scalar theta_sin disagrees with the array path at x={x0}, d={d0}"]
+    elif exact[0] != approx[0]:
+        failures = [f"mode disagreement at x={x0}, d={d0}"]
+    else:
+        failures = []
     failures += [f"mode disagreement at x={x[i]}, d={d[i]}"
-                 for i in np.flatnonzero(exact != approx).tolist()]
+                 for i in (np.flatnonzero(exact[1:] != approx[1:]) + 1).tolist()]
     return "float-exact-agreement", len(x), failures
 
 

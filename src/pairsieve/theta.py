@@ -129,15 +129,13 @@ def theta_sin(
     return 1 if abs(math.sin(x * math.pi / d)) < mode.epsilon else 0
 
 
-def theta_sin_array(
-    x: np.ndarray, d: np.ndarray, mode: ThetaMode = EXACT, guard: GuardedDomain = DEFAULT_GUARD
-) -> np.ndarray:
+def theta_sin_array(x: np.ndarray, d: np.ndarray, mode: ThetaMode = EXACT) -> np.ndarray:
     """``theta_sin`` elementwise over integer arrays (broadcast), as bools.
 
     Exact mode tests ``x % d == 0``; float mode tests
     ``|sin(x*pi/d)| < mode.epsilon``. Like the scalar form it raises
     ValueError for any x < 0 or d < 1, and in float mode GuardError for
-    any element outside ``guard``.
+    any element outside ``DEFAULT_GUARD``.
     """
     x, d = np.broadcast_arrays(np.asarray(x), np.asarray(d))
     if x.min(initial=0) < 0:
@@ -146,10 +144,10 @@ def theta_sin_array(
         raise ValueError(f"d must be >= 1, got {d.min()}")
     if mode.is_exact:
         return x % d == 0
-    outside = (x > guard.max_x) | (d > guard.max_d)
+    outside = (x > DEFAULT_GUARD.max_x) | (d > DEFAULT_GUARD.max_d)
     if outside.any():
         i = np.flatnonzero(outside)[0]
-        _check_guard(int(x.flat[i]), int(d.flat[i]), guard)
+        _check_guard(int(x.flat[i]), int(d.flat[i]), DEFAULT_GUARD)
     return np.abs(np.sin(x * math.pi / d)) < mode.epsilon
 
 

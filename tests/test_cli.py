@@ -229,6 +229,20 @@ class TestSelftest:
                in out
         assert out.count("[ok]") == 4
 
+    def test_float_suite_counts_one_failure_per_element(self, capsys, monkeypatch):
+        # the float array path is wrong everywhere, so the first element of
+        # every batch fails both ways: against exact mode and against the
+        # scalar form; it still counts once
+        def flipped(x, d, mode=EXACT):
+            hits = theta_sin_array(x, d, mode)
+            return hits if mode.is_exact else ~hits
+        monkeypatch.setattr(cli, "theta_sin_array", flipped)
+        code, out, _ = run(capsys, "selftest", "--max-n", "100")
+        assert code == 1
+        assert "float-exact-agreement: 120000 checks, 120000 failures [FAIL]\n  first " \
+               "counterexample: scalar theta_sin disagrees with the array path at x=0, d=1\n" \
+               in out
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("argv", [("goldbach", "100"), ("goldbach", "100", "--list"),

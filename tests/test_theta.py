@@ -162,13 +162,7 @@ class TestThetaSinArray:
             theta_sin_array(np.array([6, x]), np.array([2, d]), mode)
         assert scalar.type is array.type is error
 
-    def test_guard(self):
-        tight = GuardedDomain(max_x=100, max_d=10)
-        with pytest.raises(GuardError, match="x=101, d=3"):
-            theta_sin_array(np.array([99, 101]), 3, FLOAT8, guard=tight)
-        assert theta_sin_array(np.array([99, 100]), 3, FLOAT8, guard=tight).tolist() == \
-            [True, False]
-        # exact mode has no guard
+    def test_exact_mode_has_no_guard(self):
         assert theta_sin_array(np.array([10**9 + 1, 10**9]), 10**6).tolist() == [False, True]
 
 
