@@ -10,9 +10,12 @@ count, kept separate so they can cross-check each other:
 * ``"direct-mark"`` / ``"survivor"`` -- classical marking sieves.
 
 The marking methods run on the package's one residue-class marking
-kernel, which ``xi``'s double sieve shares; here its blocks start as the
-tiled wheel: the marks of 2, 3, 5, 7, 11 and 13 over one period of
-30030, a read-only module constant that phi(x, a) starts from too.
+kernel, which ``xi``'s double sieve shares, in the same layout: index i
+is the odd x = 2i + 1, and the even x, all divisible by 2, are counted
+in closed form. Here a block starts as the tiled odd half of the wheel:
+the marks of 3, 5, 7, 11 and 13 over one period of 30030 integers, 15015
+odd indices. The whole wheel is a read-only module constant that
+phi(x, a) starts from too.
 
 All of them are validated against the oracle module in the test suite.
 """
@@ -155,10 +158,9 @@ def subset_products(primes: Sequence[int], bound: int) -> Iterator[tuple[int, in
     yield from rec(0, 1, 0)
 
 
-#: Positions per block of the marking kernel, clipped to the range: the
-#: integers here, whose wheel-presieved counts take the whole periods
-#: that fit, and the odd indices i of x = 2i + 1 in ``xi``, so 2^21
-#: integers there. The cost of a block is Python overhead per slice
+#: Odd indices i (x = 2i + 1) per block of the marking kernel, so about
+#: 2^21 integers; the wheel-presieved counts here take the whole odd
+#: periods that fit. The cost of a block is Python overhead per slice
 #: assignment, not memory bandwidth, so large blocks win; 2^19 to 2^21
 #: were level for ``xi`` at n near 2e7 and 2^20 fastest at 1e8. Results
 #: are identical for any size >= 1.
@@ -210,6 +212,9 @@ _WHEEL_MARKS = _read_only(
 #: ``_WHEEL_PHI[r]`` = phi(r, 6), the unmarked x in [1, r]; 5760 per period.
 _WHEEL_PHI = _read_only(np.cumsum(~_WHEEL_MARKS, dtype=np.int32))
 _WHEEL_TOTIENT = int(_WHEEL_PHI[-1])
+#: ``_ODD_WHEEL_MARKS[i]``: some wheel prime divides x = 2i + 1, for i
+#: modulo 15015, the period in odd indices.
+_ODD_WHEEL_MARKS = _read_only(_WHEEL_MARKS[1::2].copy())
 
 
 def _phi(x: int, a: int, primes: Sequence[int]) -> int:
@@ -241,25 +246,29 @@ def _marked_count(basis: SieveBasis, from_squares: bool = False) -> int:
     """Number of x in [1, n] that the basis primes mark.
 
     Each prime p marks its multiples; with ``from_squares`` it marks them
-    from p*p on, which leaves exactly the composites <= n. One pass of
-    the kernel: from one period on, each block starts as the tiled wheel
-    marks and only the primes above 13 are marked; below it the range is
-    a single block marked directly.
+    from p*p on, which leaves exactly the composites <= n. The n/2 even x
+    count as marked, by 2; one pass of the kernel marks the odd x, index
+    i for x = 2i + 1, where an odd p marks every p-th index from p // 2
+    (x = p), or from p*p // 2 (x = p*p). From one period on, each block
+    starts as the tiled odd wheel marks and only the primes above 13 are
+    marked; below it the n/2 indices are a single block marked directly.
     """
     n, primes = basis.n, basis.primes
+    h = n // 2
     if n >= _PERIOD:
-        # the wheel tiled from x = 1
-        blank = np.tile(np.roll(_WHEEL_MARKS, -1), min(n // _PERIOD + 1, DEFAULT_BLOCK // _PERIOD))
-        sieving = primes[len(_WHEEL_PRIMES):]
+        periods = min(n // _PERIOD + 1, DEFAULT_BLOCK // _ODD_WHEEL_MARKS.size)
+        blank = np.tile(_ODD_WHEEL_MARKS, periods)
+        # the wheel marks its own primes, and 2 is among the even x
+        block, sieving, wheel_primes = blank.size, primes[len(_WHEEL_PRIMES):], len(_WHEEL_PRIMES)
     else:
-        blank, sieving = None, primes
-    marks = [(p, p * p) for p in sieving] if from_squares else list(zip(sieving, sieving))
-    marked = 0
-    for _, _, (count,) in _mark_blocks(1, n, (marks,), n if blank is None else blank.size, blank):
+        blank, block, sieving, wheel_primes = None, h, primes[1:], 1
+    marks = [(p, (p * p if from_squares else p) // 2) for p in sieving]
+    marked = h
+    for _, _, (count,) in _mark_blocks(0, h - 1, (marks,), block, blank):
         marked += count
-    if from_squares and blank is not None:
-        # the wheel marks its own primes; a prime marking from p*p does not
-        marked -= len(_WHEEL_PRIMES)
+    if from_squares:
+        # a prime marking from p*p does not mark itself
+        marked -= wheel_primes
     return marked
 
 

@@ -192,12 +192,15 @@ class TestPrimeCount:
 
 
 # n < 169 (fewer than six basis primes), 30030k +- 2 (the wheel period),
-# one and two kernel blocks +- 2 (a block is a whole number of periods),
-# and 2e7
-BLOCK = DEFAULT_BLOCK // 30030 * 30030
+# 34 and 68 periods +- 2, 2e7, and one and two kernel blocks +- 2 (a
+# block is the whole periods of 15015 odd indices that fit, 2,072,070
+# integers)
+PERIODS_34 = 34 * 30030
+BLOCK = DEFAULT_BLOCK // 15015 * 30030
 EDGE_N = [4, 6, 8, 48, 120, 166, 168, 170,
           30028, 30032, 60058, 60062, 30030 * 7 - 2, 30030 * 7 + 2,
-          BLOCK - 2, BLOCK + 2, 2 * BLOCK - 2, 2 * BLOCK + 2, 20_000_000]
+          PERIODS_34 - 2, PERIODS_34 + 2, 2 * PERIODS_34 - 2, 2 * PERIODS_34 + 2, 20_000_000,
+          BLOCK - 2, BLOCK + 2, 2 * BLOCK - 2, 2 * BLOCK + 2]
 
 
 @pytest.fixture(scope="module")
@@ -214,12 +217,31 @@ class TestEdges:
         for method in COMPOSITE_METHODS:
             assert composite_count(n, method) == n - expected - 1, method
 
-    @pytest.mark.parametrize("n", [100, 30032, BLOCK + 2])
+    @pytest.mark.parametrize("n", [100, 30032, PERIODS_34 + 2])
     def test_table_argument(self, table_2e7, n):
         for method in PRIME_METHODS:
             assert prime_count(n, method, table_2e7) == prime_count(n, method)
         for method in COMPOSITE_METHODS:
             assert composite_count(n, method, table_2e7) == composite_count(n, method)
+
+    # below one period (a single block marked directly) and above it (the
+    # tiled odd wheel, in one or more blocks)
+    @given(st.one_of(st.integers(2, 15_014), st.integers(15_015, 2_500_000)).map(lambda k: 2 * k))
+    @example(n=4)
+    @example(n=30_030)
+    @example(n=BLOCK + 30_030)
+    def test_every_method_matches_oracle_at_random_n(self, table_2e7, n):
+        expected = pi_oracle(table_2e7, n)
+        for method in PRIME_METHODS:
+            assert prime_count(n, method) == expected, method
+        for method in COMPOSITE_METHODS:
+            assert composite_count(n, method) == n - expected - 1, method
+
+    def test_marking_methods_at_1e8(self):
+        # the published pi(1e8)
+        for method in ("theta-sum", "survivor"):
+            assert prime_count(10**8, method) == 5_761_455, method
+        assert composite_count(10**8, "direct-mark") == 10**8 - 5_761_455 - 1
 
     def test_short_table_rejected(self, table_2e7):
         short = build_prime_table(100)
