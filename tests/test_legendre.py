@@ -208,14 +208,18 @@ def table_2e7():
     return build_prime_table(20_000_000)
 
 
+def _every_method_matches_oracle(table, n):
+    expected = pi_oracle(table, n)
+    for method in PRIME_METHODS:
+        assert prime_count(n, method) == expected, method
+    for method in COMPOSITE_METHODS:
+        assert composite_count(n, method) == n - expected - 1, method
+
+
 class TestEdges:
     @pytest.mark.parametrize("n", EDGE_N)
     def test_every_method_matches_oracle(self, table_2e7, n):
-        expected = pi_oracle(table_2e7, n)
-        for method in PRIME_METHODS:
-            assert prime_count(n, method) == expected, method
-        for method in COMPOSITE_METHODS:
-            assert composite_count(n, method) == n - expected - 1, method
+        _every_method_matches_oracle(table_2e7, n)
 
     @pytest.mark.parametrize("n", [100, 30032, PERIODS_34 + 2])
     def test_table_argument(self, table_2e7, n):
@@ -231,11 +235,7 @@ class TestEdges:
     @example(n=30_030)
     @example(n=BLOCK + 30_030)
     def test_every_method_matches_oracle_at_random_n(self, table_2e7, n):
-        expected = pi_oracle(table_2e7, n)
-        for method in PRIME_METHODS:
-            assert prime_count(n, method) == expected, method
-        for method in COMPOSITE_METHODS:
-            assert composite_count(n, method) == n - expected - 1, method
+        _every_method_matches_oracle(table_2e7, n)
 
     def test_marking_methods_at_1e8(self):
         # the published pi(1e8)
