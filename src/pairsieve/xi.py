@@ -120,10 +120,6 @@ class ResidueBasis:
     def dividing(self) -> tuple[int, ...]:
         return tuple(e.p for e in self.entries if e.divides_n)
 
-    @property
-    def nondividing(self) -> tuple[ResidueEntry, ...]:
-        return tuple(e for e in self.entries if not e.divides_n)
-
 
 class PairClass(NamedTuple):
     left: str
@@ -275,11 +271,10 @@ def _hat_inclusion_exclusion(divisors: Sequence[tuple[int, int]], a: int, b: int
 
 
 def _sieve(
-    basis: ResidueBasis, block_size: int, passes: int = 2, with_list: bool = False
+    basis: ResidueBasis, block_size: int, with_list: bool = False
 ) -> tuple[int, int, np.ndarray | None]:
     """hat, hat + tilde and, if asked, the ascending survivors over the
-    interval; with ``passes=1`` only the dividing primes are marked, and
-    only hat is meant.
+    interval.
 
     The even x are all hat, by p = 2, and are counted in closed form; the
     kernel marks the odd x. The sets are symmetric under x -> n - x, so
@@ -297,7 +292,7 @@ def _sieve(
     hat = composite = 0
     chunks = []
     hi = ((h if symmetric else b) - 1) // 2
-    for lo, marked, counts in _mark_blocks(a // 2, hi, odd_passes[:passes], block_size):
+    for lo, marked, counts in _mark_blocks(a // 2, hi, odd_passes, block_size):
         hat += counts[0]
         composite += counts[-1]
         if with_list:
@@ -340,13 +335,13 @@ def double_sieve(basis: ResidueBasis, block_size: int = DEFAULT_BLOCK) -> np.nda
 
 
 def hat_composite_pairs(basis: ResidueBasis, block_size: int = DEFAULT_BLOCK) -> int:
-    """Positions hit by a prime dividing n, counted by marking those
-    primes alone.
+    """Positions hit by a prime dividing n: the sieve's count after its
+    first pass, which marks those primes alone.
 
     The same count is recomputed by signed subset products over the
     dividing primes; a disagreement means a broken sieve and raises.
     """
-    return _sieve(basis, block_size, passes=1)[0]
+    return _sieve(basis, block_size)[0]
 
 
 def tilde_composite_pairs(basis: ResidueBasis, block_size: int = DEFAULT_BLOCK) -> int:
@@ -365,39 +360,37 @@ def _inverse_table(p: int) -> np.ndarray:
     return np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
 
 
-def _union_count(
-    nd: Sequence[tuple[int, int, np.ndarray]], a: int, b: int, base_mod: int
-) -> int:
-    """Exact count of x in [a, b] with x ≡ 0 (mod base_mod) lying in at
-    least one class {0, m} of the given (p, m, inverse table of p).
+def _union_count(entries: Sequence[ResidueEntry], a: int, b: int) -> int:
+    """Exact count of x in [a, b] lying in at least one class {0, m} of
+    the given (p, m); a prime with m = 0 has the one class 0.
 
-    Signed sum over class systems: every node of the search is one
-    residue class (CRT of at most one class choice per prime). A class
-    with no element in [a, b] has only empty refinements, so its whole
-    subtree is pruned; that keeps the expansion exact and small.
+    Signed sum over class systems, taken as one tree: the root is the
+    empty system, and each prime, largest first (a basis lists them
+    ascending), gives every node one child per class, the CRT of the
+    node's class with it. A class with no element in [a, b] has only
+    empty refinements, so its whole subtree is pruned; that keeps the
+    expansion exact and small, and the large primes first prune it
+    soonest.
     """
-    if (b // base_mod) - ((a - 1) // base_mod) <= 0:
-        return 0
-    mods = np.array([base_mod], dtype=np.int64)
-    residues = np.array([0], dtype=np.int64)
+    mods = np.ones(1, dtype=np.int64)
+    residues = np.zeros(1, dtype=np.int64)
     signs = np.array([-1], dtype=np.int64)  # root: empty selection
     total = 0
-    for p, m, inv in nd:
-        cur_m, cur_r, cur_s = mods, residues, signs
-        ext_m = cur_m * p
-        inv_cur = inv[cur_m % p]
+    for p, m, _ in reversed(entries):
+        ext_m = mods * p
+        inv_cur = _inverse_table(p)[mods % p]
         keep_m, keep_r, keep_s = [mods], [residues], [signs]
-        for c in (0, m):
-            k = (c - cur_r) % p * inv_cur % p
-            r_new = cur_r + cur_m * k
+        for c in {0, m}:
+            k = (c - residues) % p * inv_cur % p
+            r_new = residues + mods * k
             cnt = (b - r_new) // ext_m - (a - 1 - r_new) // ext_m
             nonzero = cnt > 0
             if not nonzero.any():
                 continue
-            total += int(np.sum(-cur_s[nonzero] * cnt[nonzero]))
+            total -= int(np.sum(signs[nonzero] * cnt[nonzero]))
             keep_m.append(ext_m[nonzero])
             keep_r.append(r_new[nonzero])
-            keep_s.append(-cur_s[nonzero])
+            keep_s.append(-signs[nonzero])
         mods = np.concatenate(keep_m)
         residues = np.concatenate(keep_r)
         signs = np.concatenate(keep_s)
@@ -407,21 +400,23 @@ def _union_count(
 def tilde_composite_pairs_ie(basis: ResidueBasis) -> int:
     """The tilde count by exact inclusion-exclusion instead of marking.
 
-    Each subset of non-dividing primes contributes one class system per
-    way of forbidding class 0 or class m at each chosen prime, counted
-    exactly over the interval; the restriction to x coprime to the
-    dividing primes is a signed sum over their subset products. Agrees
-    with ``tilde_composite_pairs`` identically; intended for cross-checks
-    at moderate n.
+    One signed class tree over every basis prime counts the union of
+    the classes {0, m} (``_union_count``), hat + tilde, since a dividing
+    prime's two classes are the one class 0; hat, from the signed
+    products of the dividing primes, is taken off. Agrees with
+    ``tilde_composite_pairs`` identically, independent of the marking.
+
+    The domain is n < 2^26, for a basis of ``make_residue_basis``, and
+    larger n raise ``ValueError``: a node of the tree holding two or more
+    x has an int64 modulus below n, one holding a single x0 a modulus
+    dividing x0 (n - x0), at most n^2 / 4, and a child multiplies it by
+    some p <= sqrt(n), which stays below 2^63 while n < 2^26.
     """
-    nd = [(e.p, e.m, _inverse_table(e.p)) for e in basis.nondividing]
-    if not nd:
-        return 0
+    if basis.n >= 1 << 26:
+        raise ValueError(f"tilde inclusion-exclusion needs n < 2^26, got {basis.n}")
     a, b = basis.interval
-    total = _union_count(nd, a, b, 1)
-    for d, s in _signed_divisors(basis.dividing, b):
-        total -= s * _union_count(nd, a, b, d)
-    return total
+    hat = _hat_inclusion_exclusion(_signed_divisors(basis.dividing, b), a, b)
+    return _union_count(basis.entries, a, b) - hat
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -186,7 +187,7 @@ def _literal_sieve(basis):
     for p in basis.dividing:
         hat |= xs % p == 0
     marked = hat.copy()
-    for p, m, _ in basis.nondividing:
+    for p, m, _ in basis.entries:
         marked |= (xs % p == 0) | (xs % p == m)
     return int(hat.sum()), int(marked.sum()), xs[~marked].tolist()
 
@@ -269,7 +270,7 @@ class TestHatTilde:
         for n in (12, 36, 100, 210, 1024):
             basis = make_residue_basis(n, table_20k)
             div = basis.dividing
-            nd = [(e.p, e.m) for e in basis.nondividing]
+            nd = [(p, m) for p, m, divides in basis.entries if not divides]
             brute = sum(
                 1 for x in range(basis.a, basis.b + 1)
                 if all(x % p for p in div)
@@ -286,6 +287,41 @@ class TestHatTilde:
         for n in (9240, 9998, 9996, 6930, 8192):
             basis = make_residue_basis(n, table_20k)
             assert tilde_composite_pairs_ie(basis) == tilde_composite_pairs(basis), n
+
+    @given(n=st.integers(4, 10_000).map(lambda k: 2 * k), data=st.data())
+    def test_tilde_ie_and_prime_pairs_on_any_interval(self, table_20k, n, data):
+        # default, symmetric, asymmetric and edge intervals; hat from its
+        # inclusion-exclusion and tilde from the class tree give the prime
+        # pairs a second exact count, with no marking
+        a = data.draw(st.integers(1, n // 2), label="a")
+        c = data.draw(st.integers(1, n - 1), label="c")
+        d = data.draw(st.integers(c, n - 1), label="d")
+        for interval in (None, (a, n - a), (c, d), (1, n - 1), (c, c)):
+            basis = make_residue_basis(n, table_20k, interval)
+            tilde = tilde_composite_pairs_ie(basis)
+            assert tilde == tilde_composite_pairs(basis)
+            hat = xi._hat_inclusion_exclusion(
+                xi._signed_divisors(basis.dividing, basis.b), basis.a, basis.b)
+            assert basis.length - hat - tilde == pair_counts(n, table_20k, interval).prime_pairs
+
+    def test_tilde_ie_domain_edge(self, table_20k, monkeypatch):
+        # below 2^26 every modulus of the class tree fits in int64; the
+        # tables of inverses, one per basis prime up to 8191, are shared
+        # between the three intervals
+        monkeypatch.setattr(xi, "_inverse_table", functools.cache(xi._inverse_table))
+        n = (1 << 26) - 2
+        for interval in ((1, 40), (n // 2 - 20, n // 2 + 20), (n - 40, n - 1)):
+            basis = make_residue_basis(n, table_20k, interval)
+            assert tilde_composite_pairs_ie(basis) == tilde_composite_pairs(basis), interval
+
+        def no_work(*args):
+            raise AssertionError("work started before the domain check")
+
+        for name in ("_union_count", "_signed_divisors", "_inverse_table"):
+            monkeypatch.setattr(xi, name, no_work)
+        basis = make_residue_basis(1 << 26, table_20k, ((1 << 25) - 20, (1 << 25) + 20))
+        with pytest.raises(ValueError, match="2\\^26"):
+            tilde_composite_pairs_ie(basis)
 
     def test_per_period_mark_counts(self, table_20k):
         # one full period of each prime marks 2 positions when p does not
