@@ -56,6 +56,7 @@ from .xi import (
     iter_pair_counts,
     make_residue_basis,
     pair_counts,
+    pair_counts_and_array,
     pair_counts_and_list,
     prime_pair_list,
     scan_bounds,

@@ -56,6 +56,43 @@ def _fmt_bool(v: bool) -> str:
     return "true" if v else "false"
 
 
+#: Values per piece of ``_write_ints``: its buffers, about 12 bytes per
+#: value, then stay in cache, and its memory stays bounded.
+_PIECE = 1 << 16
+
+
+def _write_ints(out: IO[str], values: np.ndarray, sep: str) -> None:
+    """Write ``sep.join(map(str, values))`` for ascending nonnegative ints.
+
+    An ascending array holds one contiguous run per digit count, cut here
+    into pieces of at most ``_PIECE`` values. Each piece becomes a uint8
+    matrix with a row per digit place, then the separator, and a column
+    per value; the digits come from floor division by 10 on the smallest
+    unsigned dtype that holds the piece, which numpy divides by a
+    constant faster than int64. The transposed matrix is the piece's
+    text, written before the next piece is built.
+    """
+    if not values.size:
+        return
+    cuts = np.searchsorted(values, [10**k for k in range(1, len(str(values[-1])))])
+    edges = sorted({*cuts.tolist(), *range(0, values.size, _PIECE), values.size})
+    tail = np.frombuffer(sep.encode("ascii"), np.uint8)[:, None]
+    for i, j in zip(edges, edges[1:]):
+        top = int(values[j - 1])
+        width = len(str(top))
+        v = values[i:j].astype(np.min_scalar_type(top))
+        digits = np.empty((width + len(sep), j - i), np.uint8)
+        digits[width:] = tail
+        for place in range(width - 1, 0, -1):
+            q = v // 10
+            digits[place] = v - q * 10
+            v = q
+        digits[0] = v
+        digits[:width] += ord("0")
+        text = digits.T.tobytes()
+        out.write((text if j < values.size else text[:-len(sep)]).decode("ascii"))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pairsieve",
@@ -169,7 +206,7 @@ def cmd_goldbach(args: argparse.Namespace, out: IO[str]) -> int:
     interval = _parse_interval(args.interval)
     table = oracle.build_prime_table(max(math.isqrt(n), 2))
     if args.list_pairs or args.oracle_check:
-        counts, pairs = xi.pair_counts_and_list(n, table, interval)
+        counts, pairs = xi.pair_counts_and_array(n, table, interval)
     else:
         counts, pairs = xi.pair_counts(n, table, interval), None
 
@@ -179,25 +216,30 @@ def cmd_goldbach(args: argparse.Namespace, out: IO[str]) -> int:
         print(f"prime_pairs={counts.prime_pairs} composite_pairs={counts.composite_pairs} "
               f"hat={counts.hat} tilde={counts.tilde}", file=out)
         if args.list_pairs:
-            print("x:", " ".join(str(x) for x in pairs), file=out)
+            out.write("x: ")
+            _write_ints(out, pairs, " ")
+            print(file=out)
     elif args.emit == "csv":
         print("n,a,b,interval_len,hat,tilde,composite_pairs,prime_pairs", file=out)
         print(f"{n},{a},{b},{counts.length},{counts.hat},{counts.tilde},"
               f"{counts.composite_pairs},{counts.prime_pairs}", file=out)
     else:
-        record: dict = {
+        record = json.dumps({
             "n": n, "a": a, "b": b, "interval_len": counts.length,
             "hat": counts.hat, "tilde": counts.tilde,
             "composite_pairs": counts.composite_pairs, "prime_pairs": counts.prime_pairs,
-        }
+        })
         if args.list_pairs:
-            record["x"] = pairs
-        print(json.dumps(record), file=out)
+            # the same bytes as json.dumps with "x" as the record's last key
+            out.write(f'{record[:-1]}, "x": [')
+            _write_ints(out, pairs, ", ")
+            record = "]}"
+        print(record, file=out)
 
     if args.oracle_check:
         full = oracle.build_prime_table(n)
         expected = oracle.goldbach_pairs_oracle(full, n, counts.interval)
-        if pairs != expected:
+        if not np.array_equal(pairs, expected):
             print(f"oracle mismatch for n={n}: sieve found {len(pairs)} pairs, "
                   f"brute force found {len(expected)}", file=sys.stderr)
             return 1

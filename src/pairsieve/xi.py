@@ -64,6 +64,7 @@ __all__ = [
     "pair_counts",
     "prime_pair_list",
     "pair_counts_and_list",
+    "pair_counts_and_array",
     "bound_value",
     "bound_report",
     "check_bound",
@@ -290,21 +291,27 @@ def _sieve(
     symmetric = a + b == n
     odd_passes = _odd_passes(basis)
     hat = composite = 0
-    chunks = []
+    chunks = [np.empty(0, np.intp)]
     hi = ((h if symmetric else b) - 1) // 2
     for lo, marked, counts in _mark_blocks(a // 2, hi, odd_passes, block_size):
         hat += counts[0]
         composite += counts[-1]
         if with_list:
             chunks.append(np.flatnonzero(np.logical_not(marked, out=marked)) * 2 + (2 * lo + 1))
-    survivors = np.concatenate([np.empty(0, np.intp), *chunks]) if with_list else None
+    half = sum(chunk.size for chunk in chunks)
+    mirrored = 0
     if symmetric:
         centre_hat = h % 2 == 1 and bool(odd_passes[0])
         hat = 2 * hat - centre_hat
         composite = 2 * composite - centre_hat
-        if with_list:
-            centre_survives = int(h % 2 == 1 and not centre_hat)
-            survivors = np.concatenate((survivors, n - survivors[::-1][centre_survives:]))
+        mirrored = half - int(h % 2 == 1 and not centre_hat)
+    survivors = None
+    if with_list:
+        # one allocation: the marked half, then its mirror n - x, less a
+        # surviving centre, written in place behind it
+        survivors = np.empty(half + mirrored, np.intp)
+        np.concatenate(chunks, out=survivors[:half])
+        np.subtract(n, survivors[:mirrored][::-1], out=survivors[half:])
     evens = b // 2 - (a - 1) // 2
     hat += evens
     composite += evens
@@ -357,7 +364,22 @@ def tilde_composite_pairs(basis: ResidueBasis, block_size: int = DEFAULT_BLOCK) 
 
 
 def _inverse_table(p: int) -> np.ndarray:
-    return np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
+    """v^-1 mod p at index v, 0 at 0.
+
+    From p = 50 on, v^(p - 2) (Fermat) for all of ``np.arange(p)`` at
+    once, by left-to-right square-and-multiply from the exponent's
+    leading bit. Below it one ``pow`` per v is faster, since a table
+    then costs more numpy calls than it has entries.
+    """
+    if p < 50:
+        return np.array([0, *(pow(v, -1, p) for v in range(1, p))])
+    base = np.arange(p)
+    inverse = base
+    for bit in bin(p - 2)[3:]:
+        inverse = inverse * inverse % p
+        if bit == "1":
+            inverse = inverse * base % p
+    return inverse
 
 
 def _union_count(entries: Sequence[ResidueEntry], a: int, b: int) -> int:
@@ -448,7 +470,7 @@ def prime_pair_list(
 ) -> list[int]:
     """Ascending survivors of the double sieve: every x with x and n - x
     prime over the interval: the list half of ``pair_counts_and_list``."""
-    return pair_counts_and_list(n, table, interval, block_size)[1]
+    return pair_counts_and_array(n, table, interval, block_size)[1].tolist()
 
 
 def pair_counts_and_list(
@@ -458,9 +480,21 @@ def pair_counts_and_list(
     block_size: int = DEFAULT_BLOCK,
 ) -> tuple[PairCounts, list[int]]:
     """``pair_counts`` and ``prime_pair_list`` from a single sieve pass."""
+    counts, survivors = pair_counts_and_array(n, table, interval, block_size)
+    return counts, survivors.tolist()
+
+
+def pair_counts_and_array(
+    n: int,
+    table: PrimeTable,
+    interval: tuple[int, int] | None = None,
+    block_size: int = DEFAULT_BLOCK,
+) -> tuple[PairCounts, np.ndarray]:
+    """``pair_counts_and_list`` with the survivors left as the sieve's
+    ascending int array, for callers that never need a Python list."""
     basis = make_residue_basis(n, table, interval)
     hat, composite, survivors = _sieve(basis, block_size, with_list=True)
-    return _partition(basis, hat, composite), survivors.tolist()
+    return _partition(basis, hat, composite), survivors
 
 
 def bound_value(n: int) -> float:

@@ -4,12 +4,15 @@ import json
 import re
 import subprocess
 import sys
+import io
 import types
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from pairsieve import (
-    EXACT, build_prime_table, cli, goldbach_pairs_oracle, pair_counts,
+    EXACT, build_prime_table, cli, goldbach_pairs_oracle, oracle, pair_counts,
     prime_pair_list, theta_sin, theta_sin_array, xi,
 )
 from pairsieve.cli import build_parser, main
@@ -108,6 +111,108 @@ class TestGoldbach:
     def test_odd_n(self, capsys):
         code, _, _ = run(capsys, "goldbach", "99")
         assert code == 2
+
+
+#: Every 10^k - 1, 10^k and 10^k + 1 up to 10^12: the ends of the digit runs.
+_DIGIT_EDGES = sorted({10**k + d for k in range(13) for d in (-1, 0, 1)} - {10**12 + 1})
+
+
+def _written(values, sep):
+    out = io.StringIO()
+    cli._write_ints(out, np.array(values, dtype=np.int64), sep)
+    return out.getvalue()
+
+
+class TestWriteInts:
+    @given(values=st.lists(st.one_of(st.integers(0, 10**12), st.sampled_from(_DIGIT_EDGES)),
+                           max_size=200).map(sorted),
+           sep=st.sampled_from([", ", " "]))
+    @example(values=[], sep=", ")
+    @example(values=[7], sep=" ")
+    @example(values=[0], sep=", ")
+    @example(values=_DIGIT_EDGES, sep=", ")
+    @example(values=[5, 9, 10], sep=" ")  # the last run ends the array
+    @example(values=[10**12], sep=", ")
+    def test_matches_join(self, values, sep):
+        assert _written(values, sep) == sep.join(map(str, values))
+
+    @given(values=st.lists(st.integers(0, 10**6), max_size=60).map(sorted),
+           sep=st.sampled_from([", ", " "]))
+    def test_pieces_inside_a_run(self, values, sep):
+        # runs cut into pieces of 3 values: every run ends mid-piece or on a
+        # piece edge, and the array ends at a piece edge or not
+        writes = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_PIECE", 3)
+            cli._write_ints(types.SimpleNamespace(write=writes.append),
+                            np.array(values, dtype=np.int64), sep)
+        assert "".join(writes) == sep.join(map(str, values))
+        assert all(text.count(sep) <= 3 for text in writes)
+
+
+def _expected_goldbach(n, emit, interval=None):
+    """goldbach --list output as the plain json.dumps / " ".join of
+    prime_pair_list would print it."""
+    table = build_prime_table(max(n, 2))
+    c = pair_counts(n, table, interval)
+    pairs = prime_pair_list(n, table, interval)
+    (a, b) = c.interval
+    if emit == "human":
+        return (f"n={n} interval=[{a},{b}] length={c.length}\n"
+                f"prime_pairs={c.prime_pairs} composite_pairs={c.composite_pairs} "
+                f"hat={c.hat} tilde={c.tilde}\n"
+                f"x: {' '.join(map(str, pairs))}\n")
+    return json.dumps({
+        "n": n, "a": a, "b": b, "interval_len": c.length, "hat": c.hat, "tilde": c.tilde,
+        "composite_pairs": c.composite_pairs, "prime_pairs": c.prime_pairs, "x": pairs,
+    }) + "\n"
+
+
+class TestGoldbachList:
+    # n = 1000's list runs from 2-digit to 3-digit x
+    @pytest.mark.parametrize("emit", ["human", "json"])
+    @pytest.mark.parametrize("n", [100, 30030, 2 * 4999, 1000])
+    def test_bytes_match_plain_formatting(self, capsys, n, emit):
+        code, out, err = run(capsys, "goldbach", str(n), "--list", "--emit", emit)
+        assert code == 0 and err == ""
+        assert out == _expected_goldbach(n, emit)
+
+    @pytest.mark.parametrize("emit", ["human", "json"])
+    def test_empty_list(self, capsys, emit):
+        code, out, _ = run(capsys, "goldbach", "30", "--list", "--interval", "4:6",
+                           "--emit", emit)
+        assert code == 0
+        assert out == _expected_goldbach(30, emit, (4, 6))
+        assert out.endswith("x: \n" if emit == "human" else '"x": []}\n')
+
+    @pytest.mark.parametrize("emit", ["human", "csv", "json"])
+    def test_out_file_matches_stdout(self, capsys, tmp_path, emit):
+        argv = ("goldbach", "30030", "--list", "--emit", emit)
+        _, stdout, _ = run(capsys, *argv)
+        target = tmp_path / "pairs.out"
+        code, out, _ = run(capsys, *argv, "--out", str(target))
+        assert code == 0 and out == ""
+        assert target.read_bytes() == stdout.encode()
+
+    @pytest.mark.parametrize("brute", [
+        lambda table, n, interval: [],
+        lambda table, n, interval: goldbach_pairs_oracle(table, n, interval)[:-1] + [7],
+    ])
+    @pytest.mark.parametrize("listing", [(), ("--list",)])
+    def test_oracle_mismatch_exits_1(self, capsys, monkeypatch, brute, listing):
+        monkeypatch.setattr(oracle, "goldbach_pairs_oracle", brute)
+        code, _, err = run(capsys, "goldbach", "100", *listing, "--oracle-check",
+                           "--emit", "json")
+        assert code == 1
+        assert err.startswith("oracle mismatch for n=100") and "Traceback" not in err
+
+    def test_count_and_list_disagree_exits_1(self, capsys, monkeypatch):
+        array_call = xi.pair_counts_and_array
+        monkeypatch.setattr(xi, "pair_counts_and_array",
+                            lambda *args: (array_call(*args)[0], np.array([11])))
+        code, _, err = run(capsys, "goldbach", "100", "--list")
+        assert code == 1
+        assert err.startswith("internal mismatch: count 10 != list 1")
 
 
 class TestScanBound:

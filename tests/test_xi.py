@@ -23,6 +23,7 @@ from pairsieve import (
     iter_pair_counts,
     make_residue_basis,
     pair_counts,
+    pair_counts_and_array,
     pair_counts_and_list,
     prime_pair_list,
     scan_bounds,
@@ -304,6 +305,10 @@ class TestHatTilde:
                 xi._signed_divisors(basis.dividing, basis.b), basis.a, basis.b)
             assert basis.length - hat - tilde == pair_counts(n, table_20k, interval).prime_pairs
 
+    def test_inverse_tables(self, table_20k):
+        for p in [*table_20k.primes[:60].tolist(), 8191]:
+            assert xi._inverse_table(p).tolist() == [0, *(pow(v, -1, p) for v in range(1, p))]
+
     def test_tilde_ie_domain_edge(self, table_20k, monkeypatch):
         # below 2^26 every modulus of the class tree fits in int64; the
         # tables of inverses, one per basis prime up to 8191, are shared
@@ -335,6 +340,16 @@ class TestHatTilde:
 
 
 class TestPairCounts:
+    def test_list_and_array_forms(self, table_20k):
+        # one sieve pass behind all three; only the array form skips the list
+        counts, array = pair_counts_and_array(30030, table_20k)
+        assert isinstance(array, np.ndarray) and array.dtype.kind == "i"
+        listed = pair_counts_and_list(30030, table_20k)
+        assert listed[0] == counts
+        for pairs in (listed[1], prime_pair_list(30030, table_20k)):
+            assert type(pairs) is list and all(type(x) is int for x in pairs)
+            assert pairs == array.tolist()
+
     def test_n_100(self, table_20k):
         c = pair_counts(100, table_20k)
         assert (c.hat, c.tilde, c.prime_pairs, c.length) == (49, 22, 10, 81)
