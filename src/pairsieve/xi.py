@@ -364,15 +364,10 @@ def tilde_composite_pairs(basis: ResidueBasis, block_size: int = DEFAULT_BLOCK) 
 
 
 def _inverse_table(p: int) -> np.ndarray:
-    """v^-1 mod p at index v, 0 at 0.
-
-    From p = 50 on, v^(p - 2) (Fermat) for all of ``np.arange(p)`` at
-    once, by left-to-right square-and-multiply from the exponent's
-    leading bit. Below it one ``pow`` per v is faster, since a table
-    then costs more numpy calls than it has entries.
+    """v^-1 mod p at index v, 0 at 0: v^(p - 2) (Fermat) for all of
+    ``np.arange(p)`` at once, by left-to-right square-and-multiply from
+    the exponent's leading bit.
     """
-    if p < 50:
-        return np.array([0, *(pow(v, -1, p) for v in range(1, p))])
     base = np.arange(p)
     inverse = base
     for bit in bin(p - 2)[3:]:
