@@ -7,7 +7,8 @@ primecount N    prime count by one of three interchangeable methods
 composites N    composite count likewise
                 --method, --oracle-check, --emit, --out
 goldbach N      interval prime-pair partition, optionally the pair list
-                --list, --interval, --oracle-check, --emit, --out
+                --list (human or json only), --interval, --oracle-check,
+                --emit, --out
 scan-bound A B  stream per-n records comparing pair counts to the bound
                 --step, --emit, --workers, --out
 selftest        run the library's invariant suites
@@ -202,6 +203,8 @@ def _parse_interval(spec: str) -> tuple[int, int] | None:
 
 
 def cmd_goldbach(args: argparse.Namespace, out: IO[str]) -> int:
+    if args.list_pairs and args.emit == "csv":
+        raise ValueError("--list needs --emit human or json: the csv record has no list")
     n = args.n
     interval = _parse_interval(args.interval)
     table = oracle.build_prime_table(max(math.isqrt(n), 2))
@@ -314,7 +317,10 @@ def _count_in_class(a: int, b: int, r: int, p: int) -> int:
 
 def _pair_checks(max_n: int) -> Iterator[Check]:
     """Per even n: the three prime counts and the sieved pair list against
-    the oracles, and the partition. On a sample of n: a separate
+    the oracles, and the partition: the pair count against the list's
+    length, and n against the composites marked from p^2 (``"direct-mark"``)
+    plus the primes by Legendre's phi plus 1, two methods that share no
+    code. On a sample of n: a separate
     ``prime_pair_list`` call against brute force, and the symmetry x -> n - x.
     One prime table serves every count and sieve; one
     ``pair_counts_and_list`` pass per n."""
@@ -335,7 +341,7 @@ def _pair_checks(max_n: int) -> Iterator[Check]:
         yield _one("partition", (
             None if counts.prime_pairs == len(pairs)
             else f"prime_pairs {counts.prime_pairs} != list length {len(pairs)} at n={n}"))
-        total = legendre.composite_count(n, "legendre", table) + pi["legendre"] + 1
+        total = legendre.composite_count(n, "direct-mark", table) + pi["legendre"] + 1
         yield _one("partition",
                    None if total == n else f"composites + primes + 1 = {total} != {n}")
         if n not in sample:
@@ -355,27 +361,55 @@ def _pair_checks(max_n: int) -> Iterator[Check]:
             else f"pair list not closed under x -> n - x at n={n}"))
 
 
+def _words(rng: random.Random, k: int) -> np.ndarray:
+    """k 64-bit words from the seeded ``rng`` in one call."""
+    return np.frombuffer(rng.randbytes(8 * k), "<u8")
+
+
+def _draw_ints(rng: random.Random, lo: int, hi: int, k: int) -> np.ndarray:
+    """k ints in [lo, hi]: each word modulo hi - lo + 1, a bias below
+    2^-40 for every range the suites draw from."""
+    return (_words(rng, k) % np.uint64(hi - lo + 1)).astype(np.int64) + lo
+
+
+def _draw_nonzero(rng: random.Random, bound: int, k: int) -> np.ndarray:
+    """k nonzero ints in [-bound, bound]: draws in [0, bound) move up one."""
+    v = _draw_ints(rng, -bound, bound - 1, k)
+    return v + (v >= 0)
+
+
+def _draw_floats(rng: random.Random, lo: float, hi: float, k: int) -> np.ndarray:
+    """k floats in [lo, hi], formed as ``random.uniform`` forms them from
+    a 53-bit fraction: the top bits of each word."""
+    return lo + (hi - lo) * ((_words(rng, k) >> np.uint64(11)) * 2.0**-53)
+
+
+def _draw_operands(rng: random.Random, k: int) -> np.ndarray:
+    """k floats, each 0.0 with probability 0.1, else uniform in [-1e3, 1e3]."""
+    zero = _draw_floats(rng, 0.0, 1.0, k) < 0.1
+    return np.where(zero, 0.0, _draw_floats(rng, -1e3, 1e3, k))
+
+
 def _identity_checks(rng: random.Random) -> Iterator[Check]:
-    for _ in range(2000):
-        s = rng.uniform(-1e6, 1e6)
-        m = rng.choice([v for v in range(-10, 11) if v])
-        k = rng.randint(1, 5)
-        yield _one("identity", (
-            None if theta(m * s**k) == theta(s)
-            else f"scaling identity broken at m={m}, k={k}, s={s!r}"))
-    for _ in range(2000):
-        a = 0.0 if rng.random() < 0.1 else rng.uniform(-1e3, 1e3)
-        b = 0.0 if rng.random() < 0.1 else rng.uniform(-1e3, 1e3)
-        yield _one("identity", (
-            None if double_theta(a * b) == double_theta(a) * double_theta(b)
-            else f"product rule broken at a={a!r}, b={b!r}"))
-    for _ in range(2000):
-        x = 0.0 if rng.random() < 0.1 else rng.uniform(-1e3, 1e3)
-        y = 0.0 if rng.random() < 0.1 else rng.uniform(-1e3, 1e3)
-        if x + y == 0 and x != 0:
-            continue
-        lhs, rhs = theta_sum_identity(x, y)
-        yield _one("identity", None if lhs == rhs else f"sum identity broken at x={x!r}, y={y!r}")
+    """The scaling identity, the product rule and the sum identity, one
+    batch each, on scalar Python values drawn in bulk; then the sum
+    identity's known counterexample (1, -1)."""
+    draws = 2000  # per identity
+    scales = _draw_floats(rng, -1e6, 1e6, draws).tolist()
+    factors = _draw_nonzero(rng, 10, draws).tolist()
+    powers = _draw_ints(rng, 1, 5, draws).tolist()
+    yield "identity", draws, [f"scaling identity broken at m={m}, k={k}, s={s!r}"
+                              for s, m, k in zip(scales, factors, powers)
+                              if theta(m * s**k) != theta(s)]
+    left, right = _draw_operands(rng, draws).tolist(), _draw_operands(rng, draws).tolist()
+    yield "identity", draws, [f"product rule broken at a={a!r}, b={b!r}"
+                              for a, b in zip(left, right)
+                              if double_theta(a * b) != double_theta(a) * double_theta(b)]
+    left, right = _draw_operands(rng, draws).tolist(), _draw_operands(rng, draws).tolist()
+    sums = [(x, y, *theta_sum_identity(x, y)) for x, y in zip(left, right)
+            if not (x + y == 0 and x != 0)]
+    yield "identity", len(sums), [f"sum identity broken at x={x!r}, y={y!r}"
+                                  for x, y, lhs, rhs in sums if lhs != rhs]
     lhs, rhs = theta_sum_identity(1, -1)
     yield _one("identity", None if lhs != rhs else "sum identity unexpectedly held at (1, -1)")
 
@@ -406,8 +440,8 @@ def _float_exact_checks(mode: ThetaMode, rng: random.Random, max_n: int) -> Iter
         yield _agreement(xs, np.full_like(xs, d), mode)
     hi = min(max_n * 50, 10**6)
     for _ in range(20000 // _BATCH):
-        d, x = np.array([(rng.randint(1, 1000), rng.randint(0, hi)) for _ in range(_BATCH)]).T
-        yield _agreement(x, d, mode)
+        d = _draw_ints(rng, 1, 1000, _BATCH)
+        yield _agreement(_draw_ints(rng, 0, hi, _BATCH), d, mode)
 
 
 def cmd_selftest(args: argparse.Namespace, out: IO[str]) -> int:

@@ -275,7 +275,7 @@ def _sieve(
     basis: ResidueBasis, block_size: int, with_list: bool = False
 ) -> tuple[int, int, np.ndarray | None]:
     """hat, hat + tilde and, if asked, the ascending survivors over the
-    interval.
+    interval: int32 for n < 2^31, else int64.
 
     The even x are all hat, by p = 2, and are counted in closed form; the
     kernel marks the odd x. The sets are symmetric under x -> n - x, so
@@ -291,13 +291,15 @@ def _sieve(
     symmetric = a + b == n
     odd_passes = _odd_passes(basis)
     hat = composite = 0
-    chunks = [np.empty(0, np.intp)]
+    dtype = np.int32 if n < 2**31 else np.int64
+    chunks = [np.empty(0, dtype)]
     hi = ((h if symmetric else b) - 1) // 2
     for lo, marked, counts in _mark_blocks(a // 2, hi, odd_passes, block_size):
         hat += counts[0]
         composite += counts[-1]
         if with_list:
-            chunks.append(np.flatnonzero(np.logical_not(marked, out=marked)) * 2 + (2 * lo + 1))
+            odd = np.flatnonzero(np.logical_not(marked, out=marked)).astype(dtype)
+            chunks.append(odd * 2 + (2 * lo + 1))
     half = sum(chunk.size for chunk in chunks)
     mirrored = 0
     if symmetric:
@@ -309,7 +311,7 @@ def _sieve(
     if with_list:
         # one allocation: the marked half, then its mirror n - x, less a
         # surviving centre, written in place behind it
-        survivors = np.empty(half + mirrored, np.intp)
+        survivors = np.empty(half + mirrored, dtype)
         np.concatenate(chunks, out=survivors[:half])
         np.subtract(n, survivors[:mirrored][::-1], out=survivors[half:])
     evens = b // 2 - (a - 1) // 2
@@ -486,7 +488,8 @@ def pair_counts_and_array(
     block_size: int = DEFAULT_BLOCK,
 ) -> tuple[PairCounts, np.ndarray]:
     """``pair_counts_and_list`` with the survivors left as the sieve's
-    ascending int array, for callers that never need a Python list."""
+    ascending int array, for callers that never need a Python list: int32
+    for n < 2^31, else int64."""
     basis = make_residue_basis(n, table, interval)
     hat, composite, survivors = _sieve(basis, block_size, with_list=True)
     return _partition(basis, hat, composite), survivors

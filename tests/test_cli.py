@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import random
 import re
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from pairsieve import (
-    EXACT, build_prime_table, cli, goldbach_pairs_oracle, oracle, pair_counts,
+    EXACT, build_prime_table, cli, goldbach_pairs_oracle, legendre, oracle, pair_counts,
     prime_pair_list, theta_sin, theta_sin_array, xi,
 )
 from pairsieve.cli import build_parser, main
@@ -187,7 +188,9 @@ class TestGoldbachList:
 
     @pytest.mark.parametrize("emit", ["human", "csv", "json"])
     def test_out_file_matches_stdout(self, capsys, tmp_path, emit):
-        argv = ("goldbach", "30030", "--list", "--emit", emit)
+        # csv has no list form, so its case runs without --list
+        listing = () if emit == "csv" else ("--list",)
+        argv = ("goldbach", "30030", *listing, "--emit", emit)
         _, stdout, _ = run(capsys, *argv)
         target = tmp_path / "pairs.out"
         code, out, _ = run(capsys, *argv, "--out", str(target))
@@ -276,6 +279,30 @@ class TestSelftest:
         assert code == 0
         assert out.count("[ok]") == 5
 
+    def test_check_counts(self, capsys):
+        code, out, _ = run(capsys, "selftest", "--max-n", "300")
+        assert code == 0
+        assert "identity: 6001 checks, 0 failures [ok]\n" \
+               "float-exact-agreement: 120000 checks, 0 failures [ok]\n" in out
+
+    def test_stdout_is_the_same_in_every_process(self):
+        argv = [sys.executable, "-m", "pairsieve", "selftest", "--max-n", "300"]
+        first, second = (subprocess.run(argv, capture_output=True, check=True).stdout
+                         for _ in range(2))
+        assert first == second and first.count(b"[ok]") == 5
+
+    def test_partition_is_a_cross_check(self, capsys, monkeypatch):
+        # with phi one too high, Legendre's prime count is one too high and
+        # its composite count one too low, so their sum still holds; the
+        # composites marked from p^2 do not read phi
+        phi = legendre._phi
+        monkeypatch.setattr(legendre, "_phi", lambda *args: phi(*args) + 1)
+        code, out, _ = run(capsys, "selftest", "--max-n", "100")
+        assert code == 1
+        assert re.search(r"^partition: \d+ checks, [1-9]\d* failures \[FAIL\]\n"
+                         r"  first counterexample: composites \+ primes \+ 1 = 9 != 8$",
+                         out, re.M)
+
     def test_below_minimum(self, capsys):
         code, _, _ = run(capsys, "selftest", "--max-n", "50")
         assert code == 2
@@ -349,6 +376,42 @@ class TestSelftest:
                in out
 
 
+class TestDraws:
+    # the selftest suites' samples, drawn in bulk from one seeded rng
+    @pytest.mark.parametrize("lo, hi", [(1, 5), (1, 1000), (-10, 9), (0, 5000)])
+    def test_ints_reach_both_ends(self, lo, hi):
+        draws = cli._draw_ints(random.Random(7), lo, hi, 200_000)
+        assert draws.dtype == np.int64
+        assert (draws.min(), draws.max()) == (lo, hi)
+
+    def test_ints_in_the_widest_range(self):
+        draws = cli._draw_ints(random.Random(7), 0, 10**6, 200_000)
+        assert 0 <= draws.min() and draws.max() <= 10**6
+        assert np.unique(draws).size > 150_000
+
+    def test_nonzero(self):
+        draws = cli._draw_nonzero(random.Random(7), 10, 20_000)
+        assert set(draws.tolist()) == set(range(-10, 11)) - {0}
+
+    @pytest.mark.parametrize("lo, hi", [(-1e6, 1e6), (-1e3, 1e3), (0.0, 1.0)])
+    def test_floats_in_range(self, lo, hi):
+        draws = cli._draw_floats(random.Random(7), lo, hi, 200_000)
+        assert draws.dtype == np.float64
+        assert lo <= draws.min() < lo + (hi - lo) * 1e-3
+        assert hi - (hi - lo) * 1e-3 < draws.max() <= hi
+
+    def test_operands(self):
+        draws = cli._draw_operands(random.Random(7), 200_000)
+        zero = draws == 0.0
+        assert 0.09 < zero.mean() < 0.11
+        assert -1e3 <= draws.min() < -999 and 999 < draws.max() <= 1e3
+
+    def test_same_seed_same_draws(self):
+        first, second = (cli._draw_floats(random.Random(20240901), 0.0, 1.0, 100)
+                         for _ in range(2))
+        assert first.tolist() == second.tolist()
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("argv", [("goldbach", "100"), ("goldbach", "100", "--list"),
                                       ("scan-bound", "100", "104")])
@@ -403,6 +466,16 @@ class TestUsage:
     def test_flag_the_command_does_not_read(self, capsys, argv):
         code, out, _ = run(capsys, *argv)
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("listing", [("--list",), ("--list", "--oracle-check")])
+    def test_list_has_no_csv_form(self, capsys, tmp_path, listing):
+        target = tmp_path / "pairs.csv"
+        for out_flags in ((), ("--out", str(target))):
+            code, out, err = run(capsys, "goldbach", "30030", *listing, "--emit", "csv",
+                                 *out_flags)
+            assert code == 2 and out == ""
+            assert err.startswith("error: --list needs --emit human or json")
+        assert target.read_text() == ""
 
     def test_each_command_takes_only_the_flags_it_reads(self):
         expected = {

@@ -350,6 +350,27 @@ class TestPairCounts:
             assert type(pairs) is list and all(type(x) is int for x in pairs)
             assert pairs == array.tolist()
 
+    @pytest.mark.parametrize("n", [100, 30030, 2 * 4999])
+    def test_survivors_are_int32_below_2_31(self, table_20k, n):
+        counts, array = pair_counts_and_array(n, table_20k)
+        assert array.dtype == np.int32
+        assert array.tolist() == goldbach_pairs_oracle(
+            build_prime_table(n), n, counts.interval)
+
+    def test_survivors_are_int64_from_2_31(self):
+        # every x and n - x lies between 2^31 and 2^32, so a prime of the
+        # table divides each composite one; the expected pairs are those
+        # with neither divisible
+        n, (a, b) = 2**32, (2**31 + 1, 2**31 + 2001)
+        table = build_prime_table(1 << 16)
+        counts, array = pair_counts_and_array(n, table, (a, b))
+        x = np.arange(a, b + 1, dtype=np.int64)
+        both = np.ones(x.size, bool)
+        for primes in np.array_split(table.primes, 32):
+            both &= (x[:, None] % primes != 0).all(1) & ((n - x)[:, None] % primes != 0).all(1)
+        assert array.dtype == np.int64 and array.min() > 2**31 - 1
+        assert array.tolist() == x[both].tolist() and counts.prime_pairs == array.size > 0
+
     def test_n_100(self, table_20k):
         c = pair_counts(100, table_20k)
         assert (c.hat, c.tilde, c.prime_pairs, c.length) == (49, 22, 10, 81)
