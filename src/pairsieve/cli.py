@@ -440,8 +440,8 @@ def _float_exact_checks(mode: ThetaMode, rng: random.Random, max_n: int) -> Iter
         yield _agreement(xs, np.full_like(xs, d), mode)
     hi = min(max_n * 50, 10**6)
     for _ in range(20000 // _BATCH):
-        d = _draw_ints(rng, 1, 1000, _BATCH)
-        yield _agreement(_draw_ints(rng, 0, hi, _BATCH), d, mode)
+        d, x = _draw_ints(rng, 1, 1000, _BATCH), _draw_ints(rng, 0, hi, _BATCH)
+        yield _agreement(x, d, mode)
 
 
 def cmd_selftest(args: argparse.Namespace, out: IO[str]) -> int:

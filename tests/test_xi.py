@@ -358,9 +358,9 @@ class TestPairCounts:
             build_prime_table(n), n, counts.interval)
 
     def test_survivors_are_int64_from_2_31(self):
-        # every x and n - x lies between 2^31 and 2^32, so a prime of the
-        # table divides each composite one; the expected pairs are those
-        # with neither divisible
+        # every x and n - x lies in (2^16, 2^32), so a composite one has a
+        # prime factor in the table: the pairs are the x with neither x nor
+        # n - x divisible by a table prime
         n, (a, b) = 2**32, (2**31 + 1, 2**31 + 2001)
         table = build_prime_table(1 << 16)
         counts, array = pair_counts_and_array(n, table, (a, b))
