@@ -319,8 +319,8 @@ def _pair_checks(max_n: int) -> Iterator[Check]:
     """Per even n: the three prime counts and the sieved pair list against
     the oracles, and the partition: the pair count against the list's
     length, and n against the composites marked from p^2 (``"direct-mark"``)
-    plus the primes by Legendre's phi plus 1, two methods that share no
-    code. On a sample of n: a separate
+    plus the primes by Legendre's phi plus 1; only the latter reads phi.
+    On a sample of n: a separate
     ``prime_pair_list`` call against brute force, and the symmetry x -> n - x.
     One prime table serves every count and sieve; one
     ``pair_counts_and_list`` pass per n."""
