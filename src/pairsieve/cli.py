@@ -260,8 +260,8 @@ def cmd_goldbach(args: argparse.Namespace, out: IO[str]) -> int:
 
 def cmd_scan_bound(args: argparse.Namespace, out: IO[str]) -> int:
     start, end, step = args.start, args.end, args.step
-    if start < 26:
-        raise ValueError(f"start must be >= 26, got {start}")
+    # before the csv header, so that a rejected range writes nothing
+    xi._validate_scan_range(start, end, step, minimum=26)
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     summary = xi.ScanSummary()
@@ -470,19 +470,34 @@ def cmd_selftest(args: argparse.Namespace, out: IO[str]) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _OutFile:
+    """``--out FILE``, opened for writing, and so emptied, at the first
+    write: a command that rejects its arguments before writing leaves
+    FILE as it was."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.file: IO[str] | None = None
+
+    def write(self, text: str) -> int:
+        if self.file is None:
+            self.file = open(self.path, "w", encoding="utf-8", newline="\n")
+        return self.file.write(text)
+
+    def close(self) -> None:
+        if self.file is not None:
+            self.file.close()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    out = sys.stdout
-    opened = None
+    opened = _OutFile(args.out) if args.out else None
     try:
-        if args.out:
-            opened = open(args.out, "w", encoding="utf-8", newline="\n")
-            out = opened
-        return args.func(args, out)
+        return args.func(args, opened or sys.stdout)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

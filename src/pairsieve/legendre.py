@@ -1,7 +1,7 @@
 """Whole-range prime and composite counting over primes <= sqrt(n).
 
 Three interchangeable formulations of the same inclusion-exclusion
-count, kept separate so they can cross-check each other:
+count:
 
 * ``"legendre"``  -- the signed floor sum over squarefree products of
   the basis primes, evaluated as Legendre's phi(x, a) recursion;
@@ -9,13 +9,18 @@ count, kept separate so they can cross-check each other:
   (residue-class marking), then correct by the basis size;
 * ``"direct-mark"`` / ``"survivor"`` -- classical marking sieves.
 
+``"theta-sum"`` and ``"survivor"`` read one marked count, and both
+closing formulas reduce to n - 1 - divisible + l, so their agreement
+checks no more than one of them does. The independent checks of a
+prime count are phi (``"legendre"``) and the oracle module.
+
 The marking methods run on the package's one residue-class marking
 kernel, which ``xi``'s double sieve shares, in the same layout: index i
 is the odd x = 2i + 1, and the even x, all divisible by 2, are counted
-in closed form. Here a block starts as the tiled odd half of the wheel:
-the marks of 3, 5, 7, 11 and 13 over one period of 30030 integers, 15015
-odd indices. The whole wheel is a read-only module constant that
-phi(x, a) starts from too.
+in closed form. Here, from n = 13^2 on, a block starts as the odd half
+of the wheel, tiled if need be: the marks of 3, 5, 7, 11 and 13 over one
+period of 30030 integers, 15015 odd indices. The whole wheel is a
+read-only module constant that phi(x, a) starts from too.
 
 All of them are validated against the oracle module in the test suite.
 """
@@ -249,15 +254,16 @@ def _marked_count(basis: SieveBasis, from_squares: bool = False) -> int:
     from p*p on, which leaves exactly the composites <= n. The n/2 even x
     count as marked, by 2; one pass of the kernel marks the odd x, index
     i for x = 2i + 1, where an odd p marks every p-th index from p // 2
-    (x = p), or from p*p // 2 (x = p*p). From one period on, each block
-    starts as the tiled odd wheel marks and only the primes above 13 are
-    marked; below it the n/2 indices are a single block marked directly.
+    (x = p), or from p*p // 2 (x = p*p). Once the basis holds every wheel
+    prime (n >= 13^2), each block starts as the odd wheel marks, tiled
+    when n spans more than one period, and only the primes above 13 are
+    marked; below that the n/2 indices are a single block marked directly.
     """
     n, primes = basis.n, basis.primes
     h = n // 2
-    if n >= _PERIOD:
+    if basis.l >= len(_WHEEL_PRIMES):
         periods = min(n // _PERIOD + 1, DEFAULT_BLOCK // _ODD_WHEEL_MARKS.size)
-        blank = np.tile(_ODD_WHEEL_MARKS, periods)
+        blank = _ODD_WHEEL_MARKS if periods == 1 else np.tile(_ODD_WHEEL_MARKS, periods)
         # the wheel marks its own primes, and 2 is among the even x
         block, sieving, wheel_primes = blank.size, primes[len(_WHEEL_PRIMES):], len(_WHEEL_PRIMES)
     else:

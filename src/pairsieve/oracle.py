@@ -76,13 +76,13 @@ def pi_oracle(table: PrimeTable, n: int) -> int:
     """Number of primes <= n, read off the table."""
     if not 1 <= n <= table.limit:
         raise ValueError(f"n must be in [1, {table.limit}], got {n}")
-    return int(np.searchsorted(table.primes, n, side="right"))
+    return int(table.primes.searchsorted(n, side="right"))
 
 
 def primes_upto(primes: np.ndarray, limit: int) -> np.ndarray:
     """The primes <= ``limit`` of an ascending prime array: a view of its
     prefix, found by binary search."""
-    return primes[: int(np.searchsorted(primes, limit, side="right"))]
+    return primes[: int(primes.searchsorted(limit, side="right"))]
 
 
 def is_prime_trial(n: int) -> bool:
@@ -127,4 +127,4 @@ def goldbach_pairs_oracle(
         raise ValueError(f"table covers only {table.limit}, need {n}")
     flags = table.flags
     hits = flags[a : b + 1] & flags[n - b : n - a + 1][::-1]
-    return (np.flatnonzero(hits) + a).tolist()
+    return (hits.nonzero()[0] + a).tolist()

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from multiprocessing import Pool
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -206,8 +205,8 @@ def make_residue_basis(
     r = math.isqrt(n)
     if table.limit < r:
         raise ValueError(f"table covers only {table.limit}, need {r}")
-    entries = tuple([ResidueEntry(p, n % p, n % p == 0)
-                     for p in primes_upto(table.primes, r).tolist()])
+    entries = tuple([ResidueEntry(p, m, m == 0)
+                     for p in primes_upto(table.primes, r).tolist() for m in (n % p,)])
     return ResidueBasis(n=n, interval=interval or default_interval(n), entries=entries)
 
 
@@ -247,12 +246,11 @@ def _odd_passes(basis: ResidueBasis) -> tuple[list[tuple[int, int]], list[tuple[
     apart."""
     hat, other = [], []
     for p, m, divides in basis.entries:
-        if p == 2:
-            continue
-        if divides:
+        if not divides:
+            other.append((p, (p - 1) // 2))
+            other.append((p, (m - 1) * (p + 1) // 2 % p))
+        elif p > 2:
             hat.append((p, (p - 1) // 2))
-        else:
-            other += ((p, (p - 1) // 2), (p, (m - 1) * (p + 1) // 2 % p))
     return hat, other
 
 
@@ -292,14 +290,16 @@ def _sieve(
     odd_passes = _odd_passes(basis)
     hat = composite = 0
     dtype = np.int32 if n < 2**31 else np.int64
-    chunks = [np.empty(0, dtype)]
+    chunks = []
     hi = ((h if symmetric else b) - 1) // 2
     for lo, marked, counts in _mark_blocks(a // 2, hi, odd_passes, block_size):
         hat += counts[0]
         composite += counts[-1]
         if with_list:
-            odd = np.flatnonzero(np.logical_not(marked, out=marked)).astype(dtype)
-            chunks.append(odd * 2 + (2 * lo + 1))
+            x = np.logical_not(marked, out=marked).nonzero()[0].astype(dtype)
+            x *= 2
+            x += 2 * lo + 1
+            chunks.append(x)
     half = sum(chunk.size for chunk in chunks)
     mirrored = 0
     if symmetric:
@@ -312,7 +312,10 @@ def _sieve(
         # one allocation: the marked half, then its mirror n - x, less a
         # surviving centre, written in place behind it
         survivors = np.empty(half + mirrored, dtype)
-        np.concatenate(chunks, out=survivors[:half])
+        if len(chunks) == 1:
+            survivors[:half] = chunks[0]
+        elif chunks:
+            np.concatenate(chunks, out=survivors[:half])
         np.subtract(n, survivors[:mirrored][::-1], out=survivors[half:])
     evens = b // 2 - (a - 1) // 2
     hat += evens
@@ -678,6 +681,9 @@ def iter_pair_counts(
         for span in spans:
             yield from task(span)
         return
+    # imported here, so that loading the package never loads multiprocessing
+    from multiprocessing import Pool
+
     with Pool(workers) as pool:
         for counts in pool.imap(task, spans):
             yield from counts

@@ -474,6 +474,26 @@ class TestUsage:
         assert code == 2 and out == ""
         assert err.startswith("error: --list needs --emit human or json")
 
+    @pytest.mark.parametrize("argv", [
+        ("goldbach", "30030", "--list", "--emit", "csv"),
+        ("selftest", "--max-n", "50"),
+        ("scan-bound", "100", "98", "--emit", "csv"),
+        ("scan-bound", "101", "105", "--emit", "csv"),
+    ])
+    def test_rejected_arguments_leave_the_out_file(self, capsys, tmp_path, argv):
+        target = tmp_path / "kept.out"
+        target.write_bytes(b"keep me\n")
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert target.read_bytes() == b"keep me\n"
+
+    def test_accepted_arguments_replace_the_out_file(self, capsys, tmp_path):
+        target = tmp_path / "replaced.out"
+        target.write_bytes(b"an older and longer record\n")
+        code, out, _ = run(capsys, "primecount", "100", "--out", str(target))
+        assert code == 0 and out == ""
+        assert target.read_bytes() == b"25\n"
+
     def test_each_command_takes_only_the_flags_it_reads(self):
         expected = {
             "primecount": {"--method", "--oracle-check", "--emit", "--out"},

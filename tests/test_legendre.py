@@ -228,8 +228,16 @@ class TestEdges:
         for method in COMPOSITE_METHODS:
             assert composite_count(n, method, table_2e7) == composite_count(n, method)
 
-    # below one period (a single block marked directly) and above it (the
-    # tiled odd wheel, in one or more blocks)
+    # from n = 13^2 on, a count starts from the odd wheel marks: one
+    # period of them as they are below n = 30030, tiled from there. The
+    # n = 2 (mod 4) take both steps, 166 to 170 and 30026 to 30030.
+    def test_every_method_matches_oracle_from_the_wheel_start(self):
+        table = build_prime_table(30040)
+        for n in range(162, 30041, 4):
+            _every_method_matches_oracle(table, n)
+
+    # below one period (a single block) and above it (the tiled odd wheel,
+    # in one or more blocks)
     @given(st.one_of(st.integers(2, 15_014), st.integers(15_015, 2_500_000)).map(lambda k: 2 * k))
     @example(n=4)
     @example(n=30_030)

@@ -8,6 +8,7 @@ from pairsieve import (
     is_prime_trial,
     pi_oracle,
 )
+from pairsieve.oracle import primes_upto
 
 _TABLE_10K = build_prime_table(10000)
 
@@ -66,6 +67,14 @@ class TestPiOracle:
             if is_prime_trial(k):
                 count += 1
             assert pi_oracle(table_20k, k) == count, k
+
+
+class TestPrimesUpto:
+    # below 2, a prime, between two primes, past the table's last prime (9973)
+    @pytest.mark.parametrize("limit", [-5, 0, 1, 2, 97, 9973, 98, 100, 9974, 10**6])
+    def test_against_a_plain_filter(self, limit):
+        got = primes_upto(_TABLE_10K.primes, limit)
+        assert got.tolist() == [p for p in _TABLE_10K.primes.tolist() if p <= limit]
 
 
 class TestIsPrimeTrial:

@@ -1,5 +1,8 @@
 import functools
 import math
+import multiprocessing
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -357,6 +360,19 @@ class TestPairCounts:
         assert array.tolist() == goldbach_pairs_oracle(
             build_prime_table(n), n, counts.interval)
 
+    # one block (a lone chunk, copied), many blocks (concatenated), and
+    # none (an interval of even x alone)
+    @pytest.mark.parametrize("n,interval", [(8, None), (100, None), (2 * 4999, None),
+                                            (30030, None), (30030, (1000, 4001)),
+                                            (30, (4, 4))])
+    def test_survivor_list_at_every_block_size(self, table_20k, n, interval):
+        basis = make_residue_basis(n, table_20k, interval)
+        literal = _literal_sieve(basis)[2]
+        for block in (1, 7, 15015, xi.DEFAULT_BLOCK):
+            survivors = xi._sieve(basis, block, with_list=True)[2]
+            assert survivors.dtype == np.int32, block
+            assert survivors.tolist() == literal, block
+
     def test_survivors_are_int64_from_2_31(self):
         # every x and n - x lies in (2^16, 2^32), so a composite one has a
         # prime factor in the table: the pairs are the x with neither x nor
@@ -573,7 +589,7 @@ class TestIterPairCounts:
         def no_pool(*args):
             raise AssertionError("a one-span scan started a process pool")
         monkeypatch.setattr(xi.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(xi, "Pool", no_pool)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         assert len(xi._spans(10000, 20000, 2, xi.DEFAULT_BLOCK)) == 1
         assert list(scan_bounds(10000, 20000, 2, workers=2)) == list(scan_bounds(10000, 20000))
 
@@ -595,6 +611,13 @@ class TestIterPairCounts:
         list(iter_pair_counts(8, 20))
         streamed = [head, *first]
         assert streamed == [pair_counts(n, table_20k) for n in range(10000, 12001, 2)]
+
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # the pool's module is imported where a pool starts, not at load
+        code = "import sys, pairsieve.cli; print('multiprocessing' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, check=True)
+        assert result.stdout == "False\n"
 
     def test_pool_size_clamped_to_cpu_count(self, monkeypatch):
         monkeypatch.setattr(xi.os, "cpu_count", lambda: 2)
