@@ -75,7 +75,10 @@ def _write_ints(out: IO[str], values: np.ndarray, sep: str) -> None:
     """
     if not values.size:
         return
-    cuts = np.searchsorted(values, [10**k for k in range(1, len(str(values[-1])))])
+    # the powers of ten in the array's own dtype, so that the search does
+    # not first copy an int32 array to int64
+    powers = np.array([10**k for k in range(1, len(str(values[-1])))], values.dtype)
+    cuts = values.searchsorted(powers)
     edges = sorted({*cuts.tolist(), *range(0, values.size, _PIECE), values.size})
     tail = np.frombuffer(sep.encode("ascii"), np.uint8)[:, None]
     for i, j in zip(edges, edges[1:]):

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import io
+import tracemalloc
 import types
 
 import numpy as np
@@ -118,10 +119,14 @@ class TestGoldbach:
 _DIGIT_EDGES = sorted({10**k + d for k in range(13) for d in (-1, 0, 1)} - {10**12 + 1})
 
 
-def _written(values, sep):
+def _written_as(values, dtype, sep):
     out = io.StringIO()
-    cli._write_ints(out, np.array(values, dtype=np.int64), sep)
+    cli._write_ints(out, np.array(values, dtype=dtype), sep)
     return out.getvalue()
+
+
+def _written(values, sep):
+    return _written_as(values, np.int64, sep)
 
 
 class TestWriteInts:
@@ -149,6 +154,18 @@ class TestWriteInts:
                             np.array(values, dtype=np.int64), sep)
         assert "".join(writes) == sep.join(map(str, values))
         assert all(text.count(sep) <= 3 for text in writes)
+
+    def test_int32_array_is_not_widened(self):
+        # the sieve's survivors are int32 below 2^31: searching their digit
+        # runs with int64 keys would copy all of them to int64 first
+        values = np.arange(0, 2**31 - 1, 1000, dtype=np.int32)
+        edges = [x for x in _DIGIT_EDGES if x < 2**31]
+        assert _written_as(edges, np.int32, " ") == " ".join(map(str, edges))
+        tracemalloc.start()
+        cli._write_ints(types.SimpleNamespace(write=lambda text: None), values, " ")
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < values.nbytes
 
 
 def _expected_goldbach(n, emit, interval=None):
