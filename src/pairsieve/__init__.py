@@ -37,7 +37,6 @@ from .legendre import (
 )
 from .xi import (
     COMPOSITE,
-    DEFAULT_BLOCK,
     ONE,
     PRIME,
     BoundReport,
@@ -57,7 +56,6 @@ from .xi import (
     make_residue_basis,
     pair_counts,
     pair_counts_and_array,
-    pair_counts_and_list,
     prime_pair_list,
     scan_bounds,
     tilde_composite_pairs,

@@ -326,7 +326,7 @@ def _pair_checks(max_n: int) -> Iterator[Check]:
     On a sample of n: a separate
     ``prime_pair_list`` call against brute force, and the symmetry x -> n - x.
     One prime table serves every count and sieve; one
-    ``pair_counts_and_list`` pass per n."""
+    ``pair_counts_and_array`` pass per n, its survivors made a list here."""
     table = oracle.build_prime_table(max_n)
     sample = set(range(8, max_n + 1, 94)) | {8, 16, 100, max_n - max_n % 2}
     for n in range(8, max_n + 1, 2):
@@ -337,7 +337,8 @@ def _pair_checks(max_n: int) -> Iterator[Check]:
             yield _one("oracle-equivalence", (
                 None if got == expected
                 else f"prime_count({n}, {method}) = {got}, oracle {expected}"))
-        counts, pairs = xi.pair_counts_and_list(n, table)
+        counts, survivors = xi.pair_counts_and_array(n, table)
+        pairs = survivors.tolist()
         brute = oracle.goldbach_pairs_oracle(table, n, counts.interval)
         yield _one("oracle-equivalence", (
             None if pairs == brute else f"pair list at n={n} disagrees with brute force"))
@@ -476,7 +477,7 @@ def cmd_selftest(args: argparse.Namespace, out: IO[str]) -> int:
 class _OutFile:
     """``--out FILE``, opened for writing, and so emptied, at the first
     write: a command that rejects its arguments before writing leaves
-    FILE as it was."""
+    FILE as it was. A FILE that cannot be opened is a usage error."""
 
     def __init__(self, path: str) -> None:
         self.path = path
@@ -484,7 +485,10 @@ class _OutFile:
 
     def write(self, text: str) -> int:
         if self.file is None:
-            self.file = open(self.path, "w", encoding="utf-8", newline="\n")
+            try:
+                self.file = open(self.path, "w", encoding="utf-8", newline="\n")
+            except OSError as exc:
+                raise ValueError(f"cannot write {self.path}: {exc.strerror}") from None
         return self.file.write(text)
 
     def close(self) -> None:

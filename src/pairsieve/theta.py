@@ -102,22 +102,21 @@ def theta(x: float) -> int:
     return 1 if x == 0 else 0
 
 
-def _check_guard(x: int, d: int, guard: GuardedDomain) -> None:
-    if x > guard.max_x or d > guard.max_d:
+def _check_guard(x: int, d: int) -> None:
+    if x > DEFAULT_GUARD.max_x or d > DEFAULT_GUARD.max_d:
         raise GuardError(
-            f"float mode is only guaranteed for x <= {guard.max_x} and "
-            f"d <= {guard.max_d}, got x={x}, d={d}"
+            f"float mode is only guaranteed for x <= {DEFAULT_GUARD.max_x} and "
+            f"d <= {DEFAULT_GUARD.max_d}, got x={x}, d={d}"
         )
 
 
-def theta_sin(
-    x: int, d: int, mode: ThetaMode = EXACT, guard: GuardedDomain = DEFAULT_GUARD
-) -> int:
+def theta_sin(x: int, d: int, mode: ThetaMode = EXACT) -> int:
     """Indicator that sin(x*pi/d) vanishes, i.e. that d divides x.
 
     Exact mode tests ``x % d == 0``. Float mode evaluates the sine
     literally and compares against ``mode.epsilon``; it raises
-    GuardError outside ``guard``. Both agree on the guarded domain.
+    GuardError outside ``DEFAULT_GUARD``, the one domain where the
+    tolerance is shown to separate zeros from nonzeros. Both agree on it.
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
@@ -125,7 +124,7 @@ def theta_sin(
         raise ValueError(f"d must be >= 1, got {d}")
     if mode.is_exact:
         return 1 if x % d == 0 else 0
-    _check_guard(x, d, guard)
+    _check_guard(x, d)
     return 1 if abs(math.sin(x * math.pi / d)) < mode.epsilon else 0
 
 
@@ -147,17 +146,11 @@ def theta_sin_array(x: np.ndarray, d: np.ndarray, mode: ThetaMode = EXACT) -> np
     outside = (x > DEFAULT_GUARD.max_x) | (d > DEFAULT_GUARD.max_d)
     if outside.any():
         i = np.flatnonzero(outside)[0]
-        _check_guard(int(x.flat[i]), int(d.flat[i]), DEFAULT_GUARD)
+        _check_guard(int(x.flat[i]), int(d.flat[i]))
     return np.abs(np.sin(x * math.pi / d)) < mode.epsilon
 
 
-def theta_sin_shift(
-    x: int,
-    m: int,
-    d: int,
-    mode: ThetaMode = EXACT,
-    guard: GuardedDomain = DEFAULT_GUARD,
-) -> int:
+def theta_sin_shift(x: int, m: int, d: int, mode: ThetaMode = EXACT) -> int:
     """Indicator that sin((x - m)*pi/d) vanishes, i.e. x ≡ m (mod d)."""
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
@@ -167,7 +160,7 @@ def theta_sin_shift(
         raise ValueError(f"m must satisfy 0 <= m < d, got m={m}, d={d}")
     if mode.is_exact:
         return 1 if (x - m) % d == 0 else 0
-    _check_guard(x, d, guard)
+    _check_guard(x, d)
     return 1 if abs(math.sin((x - m) * math.pi / d)) < mode.epsilon else 0
 
 

@@ -42,7 +42,6 @@ from .legendre import DEFAULT_BLOCK, _mark_blocks
 from .oracle import PrimeTable, build_prime_table, is_prime_trial, primes_upto
 
 __all__ = [
-    "DEFAULT_BLOCK",
     "ONE",
     "PRIME",
     "COMPOSITE",
@@ -62,7 +61,6 @@ __all__ = [
     "tilde_composite_pairs_ie",
     "pair_counts",
     "prime_pair_list",
-    "pair_counts_and_list",
     "pair_counts_and_array",
     "bound_value",
     "bound_report",
@@ -270,7 +268,7 @@ def _hat_inclusion_exclusion(divisors: Sequence[tuple[int, int]], a: int, b: int
 
 
 def _sieve(
-    basis: ResidueBasis, block_size: int, with_list: bool = False
+    basis: ResidueBasis, with_list: bool = False, block_size: int = DEFAULT_BLOCK
 ) -> tuple[int, int, np.ndarray | None]:
     """hat, hat + tilde and, if asked, the ascending survivors over the
     interval: int32 for n < 2^31, else int64.
@@ -333,33 +331,33 @@ def _partition(basis: ResidueBasis, hat: int, composite: int) -> PairCounts:
                       prime_pairs=length - composite)
 
 
-def double_sieve(basis: ResidueBasis, block_size: int = DEFAULT_BLOCK) -> np.ndarray:
+def double_sieve(basis: ResidueBasis) -> np.ndarray:
     """Survivor bitmap over the basis interval, sieved in segments.
 
     Position i covers x = a + i; True means x and n - x have no prime
     factor <= sqrt(n). Working memory is one block plus the basis and
     its survivors; the result itself spans the interval.
     """
-    survivors = _sieve(basis, block_size, with_list=True)[2]
+    survivors = _sieve(basis, with_list=True)[2]
     out = np.zeros(basis.length, dtype=bool)
     out[survivors - basis.a] = True
     return out
 
 
-def hat_composite_pairs(basis: ResidueBasis, block_size: int = DEFAULT_BLOCK) -> int:
+def hat_composite_pairs(basis: ResidueBasis) -> int:
     """Positions hit by a prime dividing n: the sieve's count after its
     first pass, which marks those primes alone.
 
     The same count is recomputed by signed subset products over the
     dividing primes; a disagreement means a broken sieve and raises.
     """
-    return _sieve(basis, block_size)[0]
+    return _sieve(basis)[0]
 
 
-def tilde_composite_pairs(basis: ResidueBasis, block_size: int = DEFAULT_BLOCK) -> int:
+def tilde_composite_pairs(basis: ResidueBasis) -> int:
     """Positions missed by every dividing prime but hit through some
     non-dividing prime's class 0 or class m. Marking implementation."""
-    hat, composite, _ = _sieve(basis, block_size)
+    hat, composite, _ = _sieve(basis)
     return composite - hat
 
 
@@ -447,10 +445,7 @@ def tilde_composite_pairs_ie(basis: ResidueBasis) -> int:
 
 
 def pair_counts(
-    n: int,
-    table: PrimeTable,
-    interval: tuple[int, int] | None = None,
-    block_size: int = DEFAULT_BLOCK,
+    n: int, table: PrimeTable, interval: tuple[int, int] | None = None
 ) -> PairCounts:
     """Full hat/tilde/prime-pair partition of the interval for even n >= 8.
 
@@ -458,43 +453,27 @@ def pair_counts(
     re-derived by inclusion-exclusion as a consistency check.
     """
     basis = make_residue_basis(n, table, interval)
-    hat, composite, _ = _sieve(basis, block_size)
+    hat, composite, _ = _sieve(basis)
     return _partition(basis, hat, composite)
 
 
 def prime_pair_list(
-    n: int,
-    table: PrimeTable,
-    interval: tuple[int, int] | None = None,
-    block_size: int = DEFAULT_BLOCK,
+    n: int, table: PrimeTable, interval: tuple[int, int] | None = None
 ) -> list[int]:
     """Ascending survivors of the double sieve: every x with x and n - x
-    prime over the interval: the list half of ``pair_counts_and_list``."""
-    return pair_counts_and_array(n, table, interval, block_size)[1].tolist()
-
-
-def pair_counts_and_list(
-    n: int,
-    table: PrimeTable,
-    interval: tuple[int, int] | None = None,
-    block_size: int = DEFAULT_BLOCK,
-) -> tuple[PairCounts, list[int]]:
-    """``pair_counts`` and ``prime_pair_list`` from a single sieve pass."""
-    counts, survivors = pair_counts_and_array(n, table, interval, block_size)
-    return counts, survivors.tolist()
+    prime over the interval: the array half of ``pair_counts_and_array``
+    as a list."""
+    return pair_counts_and_array(n, table, interval)[1].tolist()
 
 
 def pair_counts_and_array(
-    n: int,
-    table: PrimeTable,
-    interval: tuple[int, int] | None = None,
-    block_size: int = DEFAULT_BLOCK,
+    n: int, table: PrimeTable, interval: tuple[int, int] | None = None
 ) -> tuple[PairCounts, np.ndarray]:
-    """``pair_counts_and_list`` with the survivors left as the sieve's
-    ascending int array, for callers that never need a Python list: int32
-    for n < 2^31, else int64."""
+    """``pair_counts`` and the ascending survivors from a single sieve
+    pass, the survivors as the sieve's int array: int32 for n < 2^31,
+    else int64."""
     basis = make_residue_basis(n, table, interval)
-    hat, composite, survivors = _sieve(basis, block_size, with_list=True)
+    hat, composite, survivors = _sieve(basis, with_list=True)
     return _partition(basis, hat, composite), survivors
 
 
@@ -516,11 +495,9 @@ def bound_report(counts: PairCounts) -> BoundReport:
     )
 
 
-def check_bound(
-    n: int, table: PrimeTable, block_size: int = DEFAULT_BLOCK
-) -> BoundReport:
+def check_bound(n: int, table: PrimeTable) -> BoundReport:
     """Compare the sieved prime-pair count of n against the lower bound."""
-    return bound_report(pair_counts(n, table, block_size=block_size))
+    return bound_report(pair_counts(n, table))
 
 
 # ---------------------------------------------------------------------------
@@ -559,13 +536,17 @@ def _pair_count(odd: np.ndarray, rev: np.ndarray, buf: np.ndarray, n: int, a: in
     return 2 * int(np.count_nonzero(hits)) - int(h % 2 == 1 and odd[h // 2])
 
 
-def _bitmap_span(span: tuple[int, int, int, int]) -> list[PairCounts]:
+def _bitmap_span(span: tuple[int, int, int]) -> list[PairCounts]:
     """Pool task: every n of one span, counted off one odd-only prime bitmap
     up to its last n. hat comes from inclusion-exclusion over the primes
     dividing n, tilde is the rest. The segment sieve re-derives the first
     and last n, hat check included; a disagreement, or a count no interval
-    can hold, raises."""
-    start, end, step, block_size = span
+    can hold, raises.
+
+    Its one int64 arithmetic, ``n % ps``, is exact by construction: this
+    task runs only for ``end <= _BITMAP_MAX_END`` = 2^27, and above that
+    ``_sieve_span`` takes every n on Python ints."""
+    start, end, step = span
     small = build_prime_table(math.isqrt(end))
     # a copy, so the table is freed; & on the strided flags[1::2] view
     # would also be several times slower than on a contiguous one
@@ -574,7 +555,7 @@ def _bitmap_span(span: tuple[int, int, int, int]) -> list[PairCounts]:
     del table
     rev = odd[::-1].copy()
     buf = np.empty(odd.size // 2 + 1, dtype=bool)
-    sieved = {n: pair_counts(n, small, block_size=block_size) for n in (start, end)}
+    sieved = {n: pair_counts(n, small) for n in (start, end)}
     # the signed products of each set of dividing primes met in this span,
     # up to its last n, which covers every interval of the span
     divisors: dict[tuple[int, ...], list[tuple[int, int]]] = {}
@@ -601,22 +582,22 @@ def _bitmap_span(span: tuple[int, int, int, int]) -> list[PairCounts]:
     return out
 
 
-def _sieve_span(span: tuple[int, int, int, int]) -> list[PairCounts]:
+def _sieve_span(span: tuple[int, int, int]) -> list[PairCounts]:
     """Pool task: every n of one span through the segment sieve."""
-    start, end, step, block_size = span
+    start, end, step = span
     table = build_prime_table(math.isqrt(end))
-    return [pair_counts(n, table, block_size=block_size) for n in range(start, end + 1, step)]
+    return [pair_counts(n, table) for n in range(start, end + 1, step)]
 
 
-def _spans(start: int, end: int, step: int, block_size: int) -> list[tuple[int, int, int, int]]:
-    """(first n, last n, step, block_size) per span: runs of consecutive n
-    whose bitmap positions reach ``_SPAN_POSITIONS``; the last may be short."""
+def _spans(start: int, end: int, step: int) -> list[tuple[int, int, int]]:
+    """(first n, last n, step) per span: runs of consecutive n whose bitmap
+    positions reach ``_SPAN_POSITIONS``; the last may be short."""
     spans = []
     first, work = start, 0
     for n in range(start, end + 1, step):
         work += n // 4
         if work >= _SPAN_POSITIONS or n + step > end:
-            spans.append((first, n, step, block_size))
+            spans.append((first, n, step))
             first, work = n + step, 0
     return spans
 
@@ -637,12 +618,7 @@ def _validate_scan_range(start: int, end: int, step: int, minimum: int) -> None:
 
 
 def scan_bounds(
-    start: int,
-    end: int,
-    step: int = 2,
-    *,
-    workers: int = 1,
-    block_size: int = DEFAULT_BLOCK,
+    start: int, end: int, step: int = 2, *, workers: int = 1
 ) -> Iterator[BoundReport]:
     """Yield a BoundReport for every even n in [start, end] by ``step``.
 
@@ -651,17 +627,12 @@ def scan_bounds(
     the stream for the aggregate (minimum margin, violation count).
     """
     _validate_scan_range(start, end, step, minimum=26)
-    for counts in iter_pair_counts(start, end, step, workers=workers, block_size=block_size):
+    for counts in iter_pair_counts(start, end, step, workers=workers):
         yield bound_report(counts)
 
 
 def iter_pair_counts(
-    start: int,
-    end: int,
-    step: int = 2,
-    *,
-    workers: int = 1,
-    block_size: int = DEFAULT_BLOCK,
+    start: int, end: int, step: int = 2, *, workers: int = 1
 ) -> Iterator[PairCounts]:
     """PairCounts for every even n in [start, end], ascending; parallel-safe
     in the same way as ``scan_bounds``. Minimum start is 8.
@@ -674,7 +645,7 @@ def iter_pair_counts(
     processes, clamped to the CPU count, takes the spans.
     """
     _validate_scan_range(start, end, step, minimum=8)
-    spans = _spans(start, end, step, block_size)
+    spans = _spans(start, end, step)
     task = _bitmap_span if end <= _BITMAP_MAX_END else _sieve_span
     workers = _pool_size(workers)
     if workers == 1 or len(spans) < 2:

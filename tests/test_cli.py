@@ -511,6 +511,21 @@ class TestUsage:
         assert code == 0 and out == ""
         assert target.read_bytes() == b"25\n"
 
+    def test_out_file_in_a_missing_directory_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "f"
+        code, out, err = run(capsys, "primecount", "100", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+        assert not target.parent.exists()
+
+    def test_directory_as_out_file_exits_2(self, capsys, tmp_path):
+        (tmp_path / "inside").write_bytes(b"keep me\n")
+        code, out, err = run(capsys, "primecount", "100", "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {tmp_path}: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["inside"]
+        assert (tmp_path / "inside").read_bytes() == b"keep me\n"
+
     def test_each_command_takes_only_the_flags_it_reads(self):
         expected = {
             "primecount": {"--method", "--oracle-check", "--emit", "--out"},

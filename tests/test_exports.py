@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -21,3 +22,22 @@ def test_exports_resolve():
             exported = importlib.import_module(f"pairsieve.{node.module}").__all__
             unexported = [alias.name for alias in node.names if alias.name not in exported]
             assert not unexported, (node.module, unexported)
+
+
+def test_no_public_block_size_or_guard():
+    # the sieve's block size and the float guard are fixed: results do not
+    # depend on the one, and only the stated domain makes the other sound
+    for info in pkgutil.iter_modules(pairsieve.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"pairsieve.{info.name}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if not callable(obj):
+                continue
+            try:
+                params = inspect.signature(obj).parameters
+            except ValueError:  # an exception class such as GuardError has none
+                continue
+            knobs = {"block_size", "guard"} & set(params)
+            assert not knobs, (info.name, name, knobs)

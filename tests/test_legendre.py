@@ -5,7 +5,6 @@ from hypothesis import example, given, strategies as st
 from pairsieve import legendre, xi
 from pairsieve import (
     COMPOSITE_METHODS,
-    DEFAULT_BLOCK,
     PRIME_METHODS,
     build_prime_table,
     composite_count,
@@ -19,6 +18,7 @@ from pairsieve import (
     varpi_p,
     varpi_pq,
 )
+from pairsieve.legendre import DEFAULT_BLOCK
 
 
 class TestMakeBasis:

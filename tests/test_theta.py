@@ -72,15 +72,14 @@ class TestThetaSin:
             theta_sin(10**7 + 1, 3, FLOAT8)
         with pytest.raises(GuardError):
             theta_sin(5, 10**4 + 1, FLOAT8)
+        with pytest.raises(GuardError):
+            theta_sin_shift(10**7 + 1, 1, 3, FLOAT8)
+        # the edges themselves are inside
+        assert theta_sin(10**7, 10**4, FLOAT8) == 1
+        assert theta_sin_shift(10**7, 1, 10**4, FLOAT8) == 0
         # exact mode has no guard
         assert theta_sin(10**9 + 1, 10**6) == 0
         assert theta_sin(10**9, 10**6) == 1
-
-    def test_custom_guard(self):
-        tight = GuardedDomain(max_x=100, max_d=10)
-        with pytest.raises(GuardError):
-            theta_sin(101, 3, FLOAT8, guard=tight)
-        assert theta_sin(99, 3, FLOAT8, guard=tight) == 1
 
     def test_default_guard_separates_zeros_from_nonzeros(self):
         from pairsieve import DEFAULT_EPSILON

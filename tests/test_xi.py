@@ -27,7 +27,6 @@ from pairsieve import (
     make_residue_basis,
     pair_counts,
     pair_counts_and_array,
-    pair_counts_and_list,
     prime_pair_list,
     scan_bounds,
     tilde_composite_pairs,
@@ -35,6 +34,7 @@ from pairsieve import (
     xi_identity,
 )
 from pairsieve import xi
+from pairsieve.legendre import DEFAULT_BLOCK
 from pairsieve.xi import ResidueBasis, ResidueEntry
 
 GOLDEN_100 = [11, 17, 29, 41, 47, 53, 59, 71, 83, 89]
@@ -173,14 +173,16 @@ class TestDoubleSieve:
         pairs = prime_pair_list(n, table_20k, interval)
         assert pairs == (np.flatnonzero(reference) + basis.a).tolist()
         assert counts.prime_pairs == len(pairs)
+        # the public calls sieve at the default block; the block edges are
+        # driven through the private sieve they share
         for block in (1, 2, 3, 17, 64, 1001, 1 << 20):
-            assert np.array_equal(double_sieve(basis, block_size=block), reference)
-            assert pair_counts(n, table_20k, interval, block_size=block) == counts
-            assert prime_pair_list(n, table_20k, interval, block_size=block) == pairs
+            hat, composite, survivors = xi._sieve(basis, with_list=True, block_size=block)
+            assert (hat, composite) == (counts.hat, counts.composite_pairs), block
+            assert survivors.tolist() == pairs, block
 
     def test_bad_block_size(self, table_20k):
         with pytest.raises(ValueError):
-            double_sieve(make_residue_basis(100, table_20k), block_size=0)
+            xi._sieve(make_residue_basis(100, table_20k), block_size=0)
 
 
 def _literal_sieve(basis):
@@ -204,10 +206,13 @@ class TestOddHalfLayout:
     def _check(table, n, interval, block):
         basis = make_residue_basis(n, table, interval)
         hat, composite, survivors = _literal_sieve(basis)
-        counts, pairs = pair_counts_and_list(n, table, interval, block)
-        assert (counts.hat, counts.composite_pairs, pairs) == (hat, composite, survivors)
-        assert hat_composite_pairs(basis, block) == hat
-        assert (np.flatnonzero(double_sieve(basis, block)) + basis.a).tolist() == survivors
+        sieved = xi._sieve(basis, with_list=True, block_size=block)
+        assert (*sieved[:2], sieved[2].tolist()) == (hat, composite, survivors)
+        # the public forms, at the default block
+        counts, pairs = pair_counts_and_array(n, table, interval)
+        assert (counts.hat, counts.composite_pairs, pairs.tolist()) == (hat, composite, survivors)
+        assert hat_composite_pairs(basis) == hat
+        assert (np.flatnonzero(double_sieve(basis)) + basis.a).tolist() == survivors
         # inside (sqrt(n), n - sqrt(n)) the survivors are the prime pairs
         r = math.isqrt(n)
         lo, hi = max(basis.a, r + 1), min(basis.b, n - r - 1)
@@ -344,14 +349,13 @@ class TestHatTilde:
 
 class TestPairCounts:
     def test_list_and_array_forms(self, table_20k):
-        # one sieve pass behind all three; only the array form skips the list
+        # one sieve pass behind all three; only the list form makes a list
         counts, array = pair_counts_and_array(30030, table_20k)
         assert isinstance(array, np.ndarray) and array.dtype.kind == "i"
-        listed = pair_counts_and_list(30030, table_20k)
-        assert listed[0] == counts
-        for pairs in (listed[1], prime_pair_list(30030, table_20k)):
-            assert type(pairs) is list and all(type(x) is int for x in pairs)
-            assert pairs == array.tolist()
+        assert pair_counts(30030, table_20k) == counts
+        pairs = prime_pair_list(30030, table_20k)
+        assert type(pairs) is list and all(type(x) is int for x in pairs)
+        assert pairs == array.tolist()
 
     @pytest.mark.parametrize("n", [100, 30030, 2 * 4999])
     def test_survivors_are_int32_below_2_31(self, table_20k, n):
@@ -368,8 +372,8 @@ class TestPairCounts:
     def test_survivor_list_at_every_block_size(self, table_20k, n, interval):
         basis = make_residue_basis(n, table_20k, interval)
         literal = _literal_sieve(basis)[2]
-        for block in (1, 7, 15015, xi.DEFAULT_BLOCK):
-            survivors = xi._sieve(basis, block, with_list=True)[2]
+        for block in (1, 7, 15015, DEFAULT_BLOCK):
+            survivors = xi._sieve(basis, with_list=True, block_size=block)[2]
             assert survivors.dtype == np.int32, block
             assert survivors.tolist() == literal, block
 
@@ -554,7 +558,7 @@ class TestIterPairCounts:
     def test_parallel_matches_serial(self, monkeypatch):
         # spans of about 20 n, so the pool takes several
         monkeypatch.setattr(xi, "_SPAN_POSITIONS", 3000)
-        assert len(xi._spans(500, 700, 2, xi.DEFAULT_BLOCK)) > 2
+        assert len(xi._spans(500, 700, 2)) > 2
         assert list(iter_pair_counts(500, 700, 2, workers=4)) == \
             list(iter_pair_counts(500, 700, 2))
 
@@ -590,7 +594,7 @@ class TestIterPairCounts:
             raise AssertionError("a one-span scan started a process pool")
         monkeypatch.setattr(xi.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-        assert len(xi._spans(10000, 20000, 2, xi.DEFAULT_BLOCK)) == 1
+        assert len(xi._spans(10000, 20000, 2)) == 1
         assert list(scan_bounds(10000, 20000, 2, workers=2)) == list(scan_bounds(10000, 20000))
 
     def test_every_n_sieved_above_the_end_constant(self, monkeypatch, table_20k):
