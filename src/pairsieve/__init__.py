@@ -30,28 +30,18 @@ from .legendre import (
     count_multiples,
     make_basis,
     prime_count,
-    subset_products,
-    theta_sum_multiples,
     varpi_p,
     varpi_pq,
 )
 from .xi import (
-    COMPOSITE,
-    ONE,
-    PRIME,
     BoundReport,
-    PairClass,
     PairCounts,
     ResidueBasis,
     ResidueEntry,
     ScanSummary,
     bound_report,
     bound_value,
-    check_bound,
-    classify_pair,
     default_interval,
-    double_sieve,
-    hat_composite_pairs,
     iter_pair_counts,
     make_residue_basis,
     pair_counts,
@@ -60,7 +50,6 @@ from .xi import (
     scan_bounds,
     tilde_composite_pairs,
     tilde_composite_pairs_ie,
-    xi_identity,
 )
 
 __version__ = "0.1.0"

@@ -23,10 +23,13 @@ independent of --workers.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import random
 import sys
+from types import MappingProxyType
 from typing import IO, Iterator, Optional
 
 import numpy as np
@@ -40,13 +43,15 @@ from .theta import (
     theta,
     theta_sin,
     theta_sin_array,
+    theta_sin_shift,
     theta_sum_identity,
 )
 
 __all__ = ["build_parser", "main", "entrypoint"]
 
 FORMATS = ("human", "csv", "json")
-_EMIT = dict(choices=FORMATS, default="human", help="output format (default: human)")
+_EMIT = MappingProxyType(
+    dict(choices=FORMATS, default="human", help="output format (default: human)"))
 
 
 def _fmt6(v: float) -> str:
@@ -313,11 +318,6 @@ def _one(suite: str, failure: Optional[str]) -> Check:
     return suite, 1, [] if failure is None else [failure]
 
 
-def _count_in_class(a: int, b: int, r: int, p: int) -> int:
-    r %= p
-    return (b - r) // p - (a - 1 - r) // p
-
-
 def _pair_checks(max_n: int) -> Iterator[Check]:
     """Per even n: the three prime counts and the sieved pair list against
     the oracles, and the partition: the pair count against the list's
@@ -356,9 +356,11 @@ def _pair_checks(max_n: int) -> Iterator[Check]:
             None if xi.prime_pair_list(n, table) == brute
             else f"prime_pair_list({n}) disagrees with brute force"))
         for p, m, _ in xi.make_residue_basis(n, table).entries:
-            fwd, bwd = _count_in_class(1, n - 1, 0, p), _count_in_class(1, n - 1, m, p)
+            # class m of [1, n - 1] is the multiples of p in [1 + p - m, n - 1 + p - m]
+            fwd = legendre.count_multiples(1, n - 1, p)
+            bwd = legendre.count_multiples(1 + p - m, n - 1 + p - m, p)
             yield _one("symmetry", (
-                None if fwd == bwd and (n - m) % p == 0
+                None if fwd == bwd and theta_sin_shift(n, m, p)
                 else f"divisor-count symmetry broken: n={n}, p={p}, m={m}"))
         yield _one("symmetry", (
             None if sorted(n - x for x in pairs) == pairs
@@ -477,11 +479,25 @@ def cmd_selftest(args: argparse.Namespace, out: IO[str]) -> int:
 class _OutFile:
     """``--out FILE``, opened for writing, and so emptied, at the first
     write: a command that rejects its arguments before writing leaves
-    FILE as it was. A FILE that cannot be opened is a usage error."""
+    FILE as it was. A FILE that cannot be opened is a usage error, found
+    here, before the command's work, without making or emptying FILE."""
 
     def __init__(self, path: str) -> None:
         self.path = path
         self.file: IO[str] | None = None
+        try:
+            if os.path.isfile(path) or os.path.isdir(path):
+                os.close(os.open(path, os.O_WRONLY))  # no O_CREAT, no O_TRUNC
+            elif not os.path.exists(path):
+                parent = os.path.dirname(path) or "."
+                if not os.path.isdir(parent):
+                    raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
+                if not os.access(parent, os.W_OK | os.X_OK):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+            # a FIFO is left to the first write: a second open and close here
+            # would end its reader's input before any record is written
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
     def write(self, text: str) -> int:
         if self.file is None:
@@ -502,8 +518,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    opened = _OutFile(args.out) if args.out else None
+    opened = None
     try:
+        opened = _OutFile(args.out) if args.out else None
         return args.func(args, opened or sys.stdout)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,16 +35,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .oracle import PrimeTable, build_prime_table, is_prime_trial, primes_upto
-from .theta import EXACT, ThetaMode, theta_sin
 
 __all__ = [
     "SieveBasis",
     "make_basis",
     "count_multiples",
-    "theta_sum_multiples",
     "varpi_p",
     "varpi_pq",
-    "subset_products",
     "composite_count",
     "prime_count",
     "COMPOSITE_METHODS",
@@ -101,17 +98,6 @@ def count_multiples(a: int, b: int, d: int) -> int:
     return b // d - (a - 1) // d
 
 
-def theta_sum_multiples(n: int, d: int, mode: ThetaMode = EXACT) -> int:
-    """Multiples of d in [1, n] counted term by term through theta_sin.
-
-    Literal summation; equals ``count_multiples(1, n, d)``. In float
-    mode every term is guard-checked.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return sum(theta_sin(x, d, mode) for x in range(1, n + 1))
-
-
 def varpi_p(n: int, p: int) -> int:
     """Multiples of prime p in [1, n] excluding p itself: floor(n/p) - 1."""
     _require_even(n)
@@ -137,30 +123,6 @@ def varpi_pq(n: int, p: int, q: int) -> int:
         if not is_prime_trial(v):
             raise ValueError(f"expected a prime, got {v}")
     return n // p + n // q - n // (p * q) - 2
-
-
-def subset_products(primes: Sequence[int], bound: int) -> Iterator[tuple[int, int]]:
-    """Yield (product, factor_count) for every nonempty squarefree product
-    of distinct primes that stays <= bound.
-
-    Depth-first by ascending prime index, so the order is deterministic:
-    each product is followed by its extensions before its successors.
-    Primes must be distinct and ascending; since they ascend, a branch is
-    pruned as soon as one extension exceeds the bound.
-    """
-    ps = list(primes)
-    if any(ps[i] >= ps[i + 1] for i in range(len(ps) - 1)):
-        raise ValueError("primes must be distinct and ascending")
-
-    def rec(start: int, prod: int, k: int) -> Iterator[tuple[int, int]]:
-        for i in range(start, len(ps)):
-            q = prod * ps[i]
-            if q > bound:
-                break
-            yield q, k + 1
-            yield from rec(i + 1, q, k + 1)
-
-    yield from rec(0, 1, 0)
 
 
 #: Odd indices i (x = 2i + 1) per block of the marking kernel, so about

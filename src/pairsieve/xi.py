@@ -14,8 +14,8 @@ interval. p = 2 divides n, so every even x is hat, counted in closed
 form; the sieve marks the odd x alone, index i standing for x = 2i + 1,
 in two passes of ``legendre``'s residue-class marking kernel: class 0 of
 the odd dividing primes, counted as hat, then both classes of the
-others. Each position read forward and backward sums to n
-(``xi_identity``), so all three sets are symmetric under x -> n - x: on
+others. Each position read forward and backward sums to n, as
+x + (n - x) = n, so all three sets are symmetric under x -> n - x: on
 a symmetric interval, the default one included, only [a, n/2] is marked
 and every count doubled, less the centre n/2 when it is odd. That
 centre is hat if an odd basis prime divides n, never tilde, and a
@@ -39,24 +39,16 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .legendre import DEFAULT_BLOCK, _mark_blocks
-from .oracle import PrimeTable, build_prime_table, is_prime_trial, primes_upto
+from .oracle import PrimeTable, build_prime_table, primes_upto
 
 __all__ = [
-    "ONE",
-    "PRIME",
-    "COMPOSITE",
     "ResidueEntry",
     "ResidueBasis",
-    "PairClass",
     "PairCounts",
     "BoundReport",
     "ScanSummary",
     "default_interval",
     "make_residue_basis",
-    "xi_identity",
-    "classify_pair",
-    "double_sieve",
-    "hat_composite_pairs",
     "tilde_composite_pairs",
     "tilde_composite_pairs_ie",
     "pair_counts",
@@ -64,15 +56,9 @@ __all__ = [
     "pair_counts_and_array",
     "bound_value",
     "bound_report",
-    "check_bound",
     "scan_bounds",
     "iter_pair_counts",
 ]
-
-ONE = "one"
-PRIME = "prime"
-COMPOSITE = "composite"
-
 
 class ResidueEntry(NamedTuple):
     p: int
@@ -117,11 +103,6 @@ class ResidueBasis:
     @property
     def dividing(self) -> tuple[int, ...]:
         return tuple(e.p for e in self.entries if e.divides_n)
-
-
-class PairClass(NamedTuple):
-    left: str
-    right: str
 
 
 @dataclass(frozen=True)
@@ -206,28 +187,6 @@ def make_residue_basis(
     entries = tuple([ResidueEntry(p, m, m == 0)
                      for p in primes_upto(table.primes, r).tolist() for m in (n % p,)])
     return ResidueBasis(n=n, interval=interval or default_interval(n), entries=entries)
-
-
-def xi_identity(z: int, n: int) -> int:
-    """Forward plus backward reading of position z: z + (n - z) = n."""
-    if not 1 <= z <= n - 1:
-        raise ValueError(f"z must be in [1, {n - 1}], got {z}")
-    forward = z
-    backward = n - z
-    return forward + backward
-
-
-def _classify(v: int) -> str:
-    if v == 1:
-        return ONE
-    return PRIME if is_prime_trial(v) else COMPOSITE
-
-
-def classify_pair(x: int, n: int) -> PairClass:
-    """Classify (x, n - x) as one/prime/composite on each side."""
-    if not 1 <= x <= n - 1:
-        raise ValueError(f"x must be in [1, {n - 1}], got {x}")
-    return PairClass(left=_classify(x), right=_classify(n - x))
 
 
 # ---------------------------------------------------------------------------
@@ -329,29 +288,6 @@ def _partition(basis: ResidueBasis, hat: int, composite: int) -> PairCounts:
     return PairCounts(n=basis.n, interval=basis.interval, length=length, hat=hat,
                       tilde=composite - hat, composite_pairs=composite,
                       prime_pairs=length - composite)
-
-
-def double_sieve(basis: ResidueBasis) -> np.ndarray:
-    """Survivor bitmap over the basis interval, sieved in segments.
-
-    Position i covers x = a + i; True means x and n - x have no prime
-    factor <= sqrt(n). Working memory is one block plus the basis and
-    its survivors; the result itself spans the interval.
-    """
-    survivors = _sieve(basis, with_list=True)[2]
-    out = np.zeros(basis.length, dtype=bool)
-    out[survivors - basis.a] = True
-    return out
-
-
-def hat_composite_pairs(basis: ResidueBasis) -> int:
-    """Positions hit by a prime dividing n: the sieve's count after its
-    first pass, which marks those primes alone.
-
-    The same count is recomputed by signed subset products over the
-    dividing primes; a disagreement means a broken sieve and raises.
-    """
-    return _sieve(basis)[0]
 
 
 def tilde_composite_pairs(basis: ResidueBasis) -> int:
@@ -493,11 +429,6 @@ def bound_report(counts: PairCounts) -> BoundReport:
     return BoundReport(
         n=counts.n, prime_pairs=pairs, bound=bound, margin=pairs - bound, holds=pairs > bound
     )
-
-
-def check_bound(n: int, table: PrimeTable) -> BoundReport:
-    """Compare the sieved prime-pair count of n against the lower bound."""
-    return bound_report(pair_counts(n, table))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import os
 import random
 import re
 import subprocess
@@ -525,6 +526,37 @@ class TestUsage:
         assert err.startswith(f"error: cannot write {tmp_path}: ")
         assert [p.name for p in tmp_path.iterdir()] == ["inside"]
         assert (tmp_path / "inside").read_bytes() == b"keep me\n"
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_out_file_is_checked_before_the_work(self, capsys, monkeypatch, tmp_path, where):
+        def no_sieve(*args):
+            raise AssertionError("the sieve ran before --out was checked")
+        monkeypatch.setattr(xi, "pair_counts_and_array", no_sieve)
+        target = tmp_path / "missing" / "f" if where == "missing directory" else tmp_path
+        code, out, err = run(capsys, "goldbach", "30030", "--list", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+
+    def test_the_check_makes_no_out_file(self, capsys, tmp_path):
+        target = tmp_path / "new.out"
+        code, _, _ = run(capsys, "goldbach", "30030", "--list", "--emit", "csv",
+                         "--out", str(target))
+        assert code == 2 and not target.exists()
+
+    def test_fifo_out_file_is_opened_once(self, capsys, monkeypatch, tmp_path):
+        # a reader such as cat stops at the first close of the FIFO's writer,
+        # so the check before the work must not open a FIFO
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            def no_open(*args):
+                raise AssertionError("the check opened the FIFO")
+            monkeypatch.setattr(os, "open", no_open)
+            assert run(capsys, "primecount", "100", "--out", str(fifo))[0] == 0
+            assert os.read(reader, 100) == b"25\n"
+        finally:
+            os.close(reader)
 
     def test_each_command_takes_only_the_flags_it_reads(self):
         expected = {

@@ -41,3 +41,38 @@ def test_no_public_block_size_or_guard():
                 continue
             knobs = {"block_size", "guard"} & set(params)
             assert not knobs, (info.name, name, knobs)
+
+
+def _references(tree: ast.Module) -> list[tuple[str, str | None]]:
+    """(name, enclosing top-level definition) for every name a module
+    reads, as a bare name or as an attribute; ``__all__`` and the import
+    lists hold strings and aliases, so they are not reads."""
+    refs = []
+    for node in tree.body:
+        owner = getattr(node, "name", None)
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                refs.append((sub.id, owner))
+            elif isinstance(sub, ast.Attribute):
+                refs.append((sub.attr, owner))
+    return refs
+
+
+def test_every_export_has_a_caller():
+    # a public name earns its place on a program path, or in the acceptance
+    # suite; one that only unit tests call is a second copy of a concept
+    package = Path(pairsieve.__file__).parent
+    used = {name for path in package.glob("*.py")
+            for name, owner in _references(ast.parse(path.read_text(encoding="utf-8")))
+            if name != owner}
+    acceptance = ast.parse(
+        (Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8"))
+    used |= {alias.name for node in ast.walk(acceptance)
+             if isinstance(node, ast.ImportFrom) and node.module == "pairsieve"
+             for alias in node.names}
+    for info in pkgutil.iter_modules(pairsieve.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"pairsieve.{info.name}")
+        idle = [name for name in module.__all__ if name not in used]
+        assert not idle, (info.name, idle)

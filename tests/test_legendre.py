@@ -1,7 +1,11 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import pairsieve
 from pairsieve import legendre, xi
 from pairsieve import (
     COMPOSITE_METHODS,
@@ -9,12 +13,9 @@ from pairsieve import (
     build_prime_table,
     composite_count,
     count_multiples,
-    float_approx,
     make_basis,
     pi_oracle,
     prime_count,
-    subset_products,
-    theta_sum_multiples,
     varpi_p,
     varpi_pq,
 )
@@ -67,24 +68,6 @@ class TestCountMultiples:
         assert count_multiples(a, b, d) == sum(1 for x in range(a, b + 1) if x % d == 0)
 
 
-class TestThetaSumMultiples:
-    def test_examples(self):
-        assert theta_sum_multiples(10, 5) == 2
-        assert theta_sum_multiples(10, 3) == 3
-        assert theta_sum_multiples(9, 10) == 0
-
-    def test_equals_count_multiples(self):
-        for n in range(1, 200):
-            for d in (1, 2, 3, 7, 10, 25):
-                assert theta_sum_multiples(n, d) == count_multiples(1, n, d)
-
-    def test_float_mode_agrees(self):
-        mode = float_approx(1e-8)
-        for n in (10, 50, 99):
-            for d in (1, 3, 8):
-                assert theta_sum_multiples(n, d, mode) == count_multiples(1, n, d)
-
-
 class TestVarpi:
     def test_varpi_p_examples(self):
         assert varpi_p(10, 3) == 2
@@ -122,35 +105,33 @@ class TestVarpi:
 
 
 class TestSubsetProducts:
-    def test_depth_first_order(self):
-        assert list(subset_products([2, 3], 10)) == [(2, 1), (6, 2), (3, 1)]
+    """The one enumerator of signed squarefree products, ``xi._signed_divisors``."""
 
     def test_pruning(self):
-        assert list(subset_products([2, 3], 5)) == [(2, 1), (3, 1)]
+        assert xi._signed_divisors([2, 3], 5) == [(2, 1), (3, 1)]
 
     def test_four_primes_bound_100(self):
-        got = list(subset_products([2, 3, 5, 7], 100))
+        got = xi._signed_divisors([2, 3, 5, 7], 100)
         assert len(got) == 13
         # the two pruned subsets are exactly those overflowing the bound
-        assert 105 not in [p for p, _ in got] and 210 not in [p for p, _ in got]
+        assert 105 not in [d for d, _ in got] and 210 not in [d for d, _ in got]
 
     def test_unbounded_yields_full_powerset(self):
         primes = [2, 3, 5, 7, 11, 13]
-        got = list(subset_products(primes, 10**9))
+        got = xi._signed_divisors(primes, 10**9)
         assert len(got) == 2 ** len(primes) - 1
-        assert len({p for p, _ in got}) == len(got)
+        assert len({d for d, _ in got}) == len(got)
 
     def test_factor_counts_are_consistent(self):
-        for prod, k in subset_products([2, 3, 5, 7, 11], 10**6):
-            assert prod >= 2**k  # k distinct primes, each >= 2
+        primes = [2, 3, 5, 7, 11]
+        for d, sign in xi._signed_divisors(primes, 10**6):
+            k = sum(d % p == 0 for p in primes)
+            assert d >= 2**k  # k distinct primes, each >= 2
+            assert sign == (1 if k % 2 else -1)
 
     def test_deterministic(self):
-        a = list(subset_products([2, 3, 5, 7], 100))
-        assert a == list(subset_products([2, 3, 5, 7], 100))
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            list(subset_products([3, 2], 100))
+        a = xi._signed_divisors([2, 3, 5, 7], 100)
+        assert a == xi._signed_divisors([2, 3, 5, 7], 100)
 
 
 class TestCompositeCount:
@@ -276,7 +257,7 @@ class TestPhi:
         # the literal inclusion-exclusion: sum of mu(d) * floor(x / d) over
         # the squarefree products d of the first a primes
         primes = tuple(int(p) for p in build_prime_table(200).primes[:a])
-        literal = x + sum((-1) ** k * (x // d) for d, k in subset_products(primes, max(x, 1)))
+        literal = x - sum(s * (x // d) for d, s in xi._signed_divisors(primes, max(x, 1)))
         assert legendre._phi(x, a, primes) == literal
 
     def test_python_ints_beyond_int64(self):
@@ -286,9 +267,12 @@ class TestPhi:
         assert legendre._phi(x, 6, (2, 3, 5, 7, 11, 13)) == 5760 * 2**70 + 1
 
 
-@pytest.mark.parametrize("module", [legendre, xi], ids=["legendre", "xi"])
-def test_no_module_global_mutable_state(module):
-    for name, value in vars(module).items():
+# the package and each of its modules; importing __main__ would run the CLI
+@pytest.mark.parametrize("module_name", ["pairsieve", *(
+    f"pairsieve.{info.name}" for info in pkgutil.iter_modules(pairsieve.__path__)
+    if info.name != "__main__")], ids=lambda module_name: module_name.rpartition(".")[2])
+def test_no_module_global_mutable_state(module_name):
+    for name, value in vars(importlib.import_module(module_name)).items():
         if name.startswith("__"):
             continue
         assert not isinstance(value, (dict, list, set, bytearray)), name

@@ -9,19 +9,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from pairsieve import (
-    COMPOSITE,
-    ONE,
-    PRIME,
     BoundReport,
     ScanSummary,
+    bound_report,
     bound_value,
     build_prime_table,
-    check_bound,
-    classify_pair,
     default_interval,
-    double_sieve,
     goldbach_pairs_oracle,
-    hat_composite_pairs,
     is_prime_trial,
     iter_pair_counts,
     make_residue_basis,
@@ -31,7 +25,6 @@ from pairsieve import (
     scan_bounds,
     tilde_composite_pairs,
     tilde_composite_pairs_ie,
-    xi_identity,
 )
 from pairsieve import xi
 from pairsieve.legendre import DEFAULT_BLOCK
@@ -96,71 +89,30 @@ class TestResidueBasis:
             ResidueBasis(n=100, interval=(90, 10), entries=())
 
 
-class TestXiIdentity:
-    @pytest.mark.parametrize("z,n", [(7, 100), (1, 8), (99, 100)])
-    def test_examples(self, z, n):
-        assert xi_identity(z, n) == n
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            xi_identity(0, 100)
-        with pytest.raises(ValueError):
-            xi_identity(100, 100)
-
-    @given(st.integers(min_value=4, max_value=10**6), st.data())
-    def test_always_n(self, n, data):
-        z = data.draw(st.integers(min_value=1, max_value=n - 1))
-        assert xi_identity(z, n) == n
-
-
-class TestClassifyPair:
-    def test_examples(self):
-        assert classify_pair(11, 100) == (PRIME, PRIME)
-        assert classify_pair(1, 100) == (ONE, COMPOSITE)
-        assert classify_pair(25, 100) == (COMPOSITE, COMPOSITE)
-
-    def test_range_error(self):
-        with pytest.raises(ValueError):
-            classify_pair(0, 100)
-
-    def test_every_position_classified(self):
-        n = 60
-        for x in range(1, n):
-            left, right = classify_pair(x, n)
-            assert left in (ONE, PRIME, COMPOSITE)
-            assert (left == PRIME) == is_prime_trial(x)
-            assert (right == PRIME) == is_prime_trial(n - x)
-
-
 class TestDoubleSieve:
     def test_n_100_survivors(self, table_20k):
-        basis = make_residue_basis(100, table_20k)
-        survivors = double_sieve(basis)
-        assert (np.flatnonzero(survivors) + 10).tolist() == GOLDEN_100
+        assert pair_counts_and_array(100, table_20k)[1].tolist() == GOLDEN_100
 
     def test_n_8(self, table_20k):
-        basis = make_residue_basis(8, table_20k)
-        assert (np.flatnonzero(double_sieve(basis)) + 3).tolist() == [3, 5]
+        assert pair_counts_and_array(8, table_20k)[1].tolist() == [3, 5]
 
     def test_n_16_default_interval(self, table_20k):
         # default interval [4, 12] keeps only the inner pair 5 + 11
-        basis = make_residue_basis(16, table_20k)
-        assert (np.flatnonzero(double_sieve(basis)) + 4).tolist() == [5, 11]
+        assert pair_counts_and_array(16, table_20k)[1].tolist() == [5, 11]
 
     def test_n_16_wide_interval(self, table_20k):
         # outside (sqrt(n), n - sqrt(n)) residue avoidance is stricter than
         # primality: 3 and 13 are a prime pair of 16, but 3 | 3 and 3 | 16-13
         # knock both out of the sieve
-        basis = make_residue_basis(16, table_20k, interval=(3, 13))
-        assert (np.flatnonzero(double_sieve(basis)) + 3).tolist() == [5, 11]
+        assert pair_counts_and_array(16, table_20k, (3, 13))[1].tolist() == [5, 11]
         assert goldbach_pairs_oracle(table_20k, 16, (3, 13)) == [3, 5, 11, 13]
 
     def test_survivor_condition_is_residue_avoidance(self, table_20k):
         basis = make_residue_basis(360, table_20k)
-        survivors = double_sieve(basis)
-        for i, x in enumerate(range(basis.a, basis.b + 1)):
+        survivors = set(xi._sieve(basis, with_list=True)[2].tolist())
+        for x in range(basis.a, basis.b + 1):
             expected = all(x % p != 0 and x % p != m for p, m, _ in basis.entries)
-            assert bool(survivors[i]) == expected, x
+            assert (x in survivors) == expected, x
 
     # n = 30030*m has the seven smallest primes dividing it (hat-heavy),
     # n = 2q only 2 (tilde-heavy); the third case overrides the interval
@@ -168,10 +120,9 @@ class TestDoubleSieve:
                                             (30030 * 7, (1000, 4000))])
     def test_block_size_transparency(self, table_20k, n, interval):
         basis = make_residue_basis(n, table_20k, interval)
-        reference = double_sieve(basis)
         counts = pair_counts(n, table_20k, interval)
         pairs = prime_pair_list(n, table_20k, interval)
-        assert pairs == (np.flatnonzero(reference) + basis.a).tolist()
+        assert pairs == pair_counts_and_array(n, table_20k, interval)[1].tolist()
         assert counts.prime_pairs == len(pairs)
         # the public calls sieve at the default block; the block edges are
         # driven through the private sieve they share
@@ -208,11 +159,10 @@ class TestOddHalfLayout:
         hat, composite, survivors = _literal_sieve(basis)
         sieved = xi._sieve(basis, with_list=True, block_size=block)
         assert (*sieved[:2], sieved[2].tolist()) == (hat, composite, survivors)
-        # the public forms, at the default block
+        # the public form and the count-only pass, at the default block
         counts, pairs = pair_counts_and_array(n, table, interval)
         assert (counts.hat, counts.composite_pairs, pairs.tolist()) == (hat, composite, survivors)
-        assert hat_composite_pairs(basis) == hat
-        assert (np.flatnonzero(double_sieve(basis)) + basis.a).tolist() == survivors
+        assert xi._sieve(basis)[:2] == (hat, composite)
         # inside (sqrt(n), n - sqrt(n)) the survivors are the prime pairs
         r = math.isqrt(n)
         lo, hi = max(basis.a, r + 1), min(basis.b, n - r - 1)
@@ -257,9 +207,9 @@ class TestOddHalfLayout:
 
 class TestHatTilde:
     def test_hat_examples(self, table_20k):
-        assert hat_composite_pairs(make_residue_basis(100, table_20k)) == 49
-        assert hat_composite_pairs(make_residue_basis(8, table_20k)) == 1
-        assert hat_composite_pairs(make_residue_basis(16, table_20k)) == 5
+        assert pair_counts(100, table_20k).hat == 49
+        assert pair_counts(8, table_20k).hat == 1
+        assert pair_counts(16, table_20k).hat == 5
 
     def test_tilde_examples(self, table_20k):
         assert tilde_composite_pairs(make_residue_basis(100, table_20k)) == 22
@@ -273,7 +223,7 @@ class TestHatTilde:
             div = basis.dividing
             brute = sum(1 for x in range(basis.a, basis.b + 1)
                         if any(x % p == 0 for p in div))
-            assert hat_composite_pairs(basis) == brute
+            assert xi._sieve(basis)[0] == brute
 
     def test_tilde_matches_brute(self, table_20k):
         for n in (12, 36, 100, 210, 1024):
@@ -497,13 +447,13 @@ class TestBound:
             bound_value(27)
 
     def test_check_bound_examples(self, table_20k):
-        r = check_bound(100, table_20k)
+        r = bound_report(pair_counts(100, table_20k))
         assert r.prime_pairs == 10 and r.holds
         assert r.margin == pytest.approx(10 - bound_value(100))
-        r = check_bound(1000, table_20k)
+        r = bound_report(pair_counts(1000, table_20k))
         assert r.prime_pairs == 48 and r.holds
         assert r.margin == pytest.approx(29.5224927, abs=1e-5)
-        r = check_bound(10000, table_20k)
+        r = bound_report(pair_counts(10000, table_20k))
         assert r.prime_pairs == 250 and r.holds
 
     def test_report_consistency_enforced(self):
