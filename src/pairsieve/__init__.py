@@ -11,7 +11,6 @@ from .oracle import (
 from .theta import (
     DEFAULT_EPSILON,
     EXACT,
-    GuardedDomain,
     GuardError,
     ThetaMode,
     double_theta,
@@ -34,12 +33,10 @@ from .legendre import (
     varpi_pq,
 )
 from .xi import (
-    BoundReport,
     PairCounts,
     ResidueBasis,
     ResidueEntry,
     ScanSummary,
-    bound_report,
     bound_value,
     default_interval,
     iter_pair_counts,

@@ -215,6 +215,7 @@ def cmd_goldbach(args: argparse.Namespace, out: IO[str]) -> int:
         raise ValueError("--list needs --emit human or json: the csv record has no list")
     n = args.n
     interval = _parse_interval(args.interval)
+    xi._require_pair_n(n)
     table = oracle.build_prime_table(max(math.isqrt(n), 2))
     if args.list_pairs or args.oracle_check:
         counts, pairs = xi.pair_counts_and_array(n, table, interval)
@@ -267,30 +268,28 @@ def cmd_goldbach(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def cmd_scan_bound(args: argparse.Namespace, out: IO[str]) -> int:
-    start, end, step = args.start, args.end, args.step
-    # before the csv header, so that a rejected range writes nothing
-    xi._validate_scan_range(start, end, step, minimum=26)
+    # the range is checked at the call, before the csv header, so that a
+    # rejected range writes nothing
+    records = xi.scan_bounds(args.start, args.end, args.step, workers=args.workers)
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     summary = xi.ScanSummary()
     if args.emit == "csv":
         print("n,prime_pairs,hat,tilde,interval_len,bound,margin,holds", file=out)
-    for counts in xi.iter_pair_counts(start, end, step, workers=args.workers):
-        report = xi.bound_report(counts)
-        summary.add(report)
+    for r in records:
+        summary.add(r)
         if args.emit == "human":
-            print(f"n={counts.n} prime_pairs={counts.prime_pairs} hat={counts.hat} "
-                  f"tilde={counts.tilde} len={counts.length} bound={_fmt6(report.bound)} "
-                  f"margin={_fmt6(report.margin)} holds={_fmt_bool(report.holds)}", file=out)
+            print(f"n={r.n} prime_pairs={r.prime_pairs} hat={r.hat} tilde={r.tilde} "
+                  f"len={r.length} bound={_fmt6(r.bound)} margin={_fmt6(r.margin)} "
+                  f"holds={_fmt_bool(r.holds)}", file=out)
         elif args.emit == "csv":
-            print(f"{counts.n},{counts.prime_pairs},{counts.hat},{counts.tilde},"
-                  f"{counts.length},{_fmt6(report.bound)},{_fmt6(report.margin)},"
-                  f"{_fmt_bool(report.holds)}", file=out)
+            print(f"{r.n},{r.prime_pairs},{r.hat},{r.tilde},{r.length},{_fmt6(r.bound)},"
+                  f"{_fmt6(r.margin)},{_fmt_bool(r.holds)}", file=out)
         else:
             print(json.dumps({
-                "n": counts.n, "prime_pairs": counts.prime_pairs, "hat": counts.hat,
-                "tilde": counts.tilde, "interval_len": counts.length, "bound": report.bound,
-                "margin": report.margin, "holds": report.holds,
+                "n": r.n, "prime_pairs": r.prime_pairs, "hat": r.hat, "tilde": r.tilde,
+                "interval_len": r.length, "bound": r.bound, "margin": r.margin,
+                "holds": r.holds,
             }), file=out)
     summary_line = (f"scanned={summary.count} violations={summary.violations} "
                     f"min_margin={_fmt6(summary.min_margin)} at n={summary.min_margin_n}")
@@ -355,7 +354,7 @@ def _pair_checks(max_n: int) -> Iterator[Check]:
         yield _one("oracle-equivalence", (
             None if xi.prime_pair_list(n, table) == brute
             else f"prime_pair_list({n}) disagrees with brute force"))
-        for p, m, _ in xi.make_residue_basis(n, table).entries:
+        for p, m in xi.make_residue_basis(n, table).entries:
             # class m of [1, n - 1] is the multiples of p in [1 + p - m, n - 1 + p - m]
             fwd = legendre.count_multiples(1, n - 1, p)
             bwd = legendre.count_multiples(1 + p - m, n - 1 + p - m, p)

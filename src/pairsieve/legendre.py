@@ -60,18 +60,18 @@ class SieveBasis:
     ----------
     n : int
         Even integer >= 4 whose range is being sieved.
-    sqrt_n : int
-        floor(sqrt(n)).
     primes : tuple of int
-        Ascending primes <= sqrt_n.
+        Ascending primes <= floor(sqrt(n)).
     l : int
-        len(primes).
+        len(primes), a property.
     """
 
     n: int
-    sqrt_n: int
     primes: tuple[int, ...]
-    l: int
+
+    @property
+    def l(self) -> int:
+        return len(self.primes)
 
 
 def _require_even(n: int, minimum: int = 4) -> None:
@@ -86,7 +86,7 @@ def make_basis(n: int, table: PrimeTable) -> SieveBasis:
     if table.limit < r:
         raise ValueError(f"table covers only {table.limit}, need {r}")
     ps = tuple(primes_upto(table.primes, r).tolist())
-    return SieveBasis(n=n, sqrt_n=r, primes=ps, l=len(ps))
+    return SieveBasis(n=n, primes=ps)
 
 
 def count_multiples(a: int, b: int, d: int) -> int:

@@ -6,8 +6,8 @@ for integers means d | x. Two semantics are provided:
 
 * exact -- integer residue arithmetic, always correct;
 * float -- literal double-precision sine with a tolerance, trusted only
-  inside a guarded (x, d) domain where true zeros and the smallest
-  nonzero sine values are provably separated.
+  inside the guarded domain x <= 10^7, d <= 10^4, where true zeros and
+  the smallest nonzero sine values are provably separated.
 
 The exact semantics is authoritative; the float form exists so the
 sine construction can be demonstrated and checked against it.
@@ -29,8 +29,6 @@ __all__ = [
     "DEFAULT_EPSILON",
     "EXACT",
     "GuardError",
-    "GuardedDomain",
-    "DEFAULT_GUARD",
     "ThetaMode",
     "float_approx",
     "theta",
@@ -46,6 +44,13 @@ __all__ = [
 #: nonzero |sin(x*pi/d)| with d <= 1e4 is sin(pi/1e4) ~ 3e-4: four
 #: orders of magnitude of separation on either side.
 DEFAULT_EPSILON = 1e-8
+
+#: The guarded domain of the float semantics, x <= _GUARD_MAX_X and
+#: d <= _GUARD_MAX_D: there the double-precision error at arguments up to
+#: _GUARD_MAX_X*pi stays two orders of magnitude below sin(pi/_GUARD_MAX_D),
+#: so the default tolerance cleanly separates zeros from nonzeros.
+_GUARD_MAX_X = 10**7
+_GUARD_MAX_D = 10**4
 
 
 class GuardError(ValueError):
@@ -78,23 +83,6 @@ def float_approx(epsilon: float = DEFAULT_EPSILON) -> ThetaMode:
     return ThetaMode("float", epsilon)
 
 
-@dataclass(frozen=True)
-class GuardedDomain:
-    """Region of (x, d) where float-mode zero detection is sound.
-
-    Within ``x <= max_x`` and ``d <= max_d`` the double-precision
-    evaluation error at arguments up to max_x*pi stays two orders of
-    magnitude below sin(pi/max_d), so the default tolerance cleanly
-    separates zeros from nonzeros.
-    """
-
-    max_x: int = 10**7
-    max_d: int = 10**4
-
-
-DEFAULT_GUARD = GuardedDomain()
-
-
 def theta(x: float) -> int:
     """1 if x == 0 (including -0.0), else 0. Rejects non-finite input."""
     if not isinstance(x, int) and not math.isfinite(x):
@@ -103,10 +91,10 @@ def theta(x: float) -> int:
 
 
 def _check_guard(x: int, d: int) -> None:
-    if x > DEFAULT_GUARD.max_x or d > DEFAULT_GUARD.max_d:
+    if x > _GUARD_MAX_X or d > _GUARD_MAX_D:
         raise GuardError(
-            f"float mode is only guaranteed for x <= {DEFAULT_GUARD.max_x} and "
-            f"d <= {DEFAULT_GUARD.max_d}, got x={x}, d={d}"
+            f"float mode is only guaranteed for x <= {_GUARD_MAX_X} and "
+            f"d <= {_GUARD_MAX_D}, got x={x}, d={d}"
         )
 
 
@@ -115,7 +103,7 @@ def theta_sin(x: int, d: int, mode: ThetaMode = EXACT) -> int:
 
     Exact mode tests ``x % d == 0``. Float mode evaluates the sine
     literally and compares against ``mode.epsilon``; it raises
-    GuardError outside ``DEFAULT_GUARD``, the one domain where the
+    GuardError outside x <= 10^7, d <= 10^4, the one domain where the
     tolerance is shown to separate zeros from nonzeros. Both agree on it.
     """
     if x < 0:
@@ -134,7 +122,7 @@ def theta_sin_array(x: np.ndarray, d: np.ndarray, mode: ThetaMode = EXACT) -> np
     Exact mode tests ``x % d == 0``; float mode tests
     ``|sin(x*pi/d)| < mode.epsilon``. Like the scalar form it raises
     ValueError for any x < 0 or d < 1, and in float mode GuardError for
-    any element outside ``DEFAULT_GUARD``.
+    any element outside the guarded domain.
     """
     x, d = np.broadcast_arrays(np.asarray(x), np.asarray(d))
     if x.min(initial=0) < 0:
@@ -143,7 +131,7 @@ def theta_sin_array(x: np.ndarray, d: np.ndarray, mode: ThetaMode = EXACT) -> np
         raise ValueError(f"d must be >= 1, got {d.min()}")
     if mode.is_exact:
         return x % d == 0
-    outside = (x > DEFAULT_GUARD.max_x) | (d > DEFAULT_GUARD.max_d)
+    outside = (x > _GUARD_MAX_X) | (d > _GUARD_MAX_D)
     if outside.any():
         i = np.flatnonzero(outside)[0]
         _check_guard(int(x.flat[i]), int(d.flat[i]))

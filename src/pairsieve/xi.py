@@ -19,8 +19,8 @@ x + (n - x) = n, so all three sets are symmetric under x -> n - x: on
 a symmetric interval, the default one included, only [a, n/2] is marked
 and every count doubled, less the centre n/2 when it is odd. That
 centre is hat if an odd basis prime divides n, never tilde, and a
-survivor otherwise. A scanner compares the survivor count per n against
-the analytic lower bound (n - 4*sqrt(n)) / ln^2(n - sqrt(n)).
+survivor otherwise. A scan's record for each n compares its survivor
+count with the analytic lower bound (n - 4*sqrt(n)) / ln^2(n - sqrt(n)).
 
 Over the default interval the survivors are exactly the prime pairs, so
 a scan over many n reads their counts off one shared prime bitmap (an
@@ -31,6 +31,7 @@ the verifier of each span's first and last n.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -38,14 +39,13 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .legendre import DEFAULT_BLOCK, _mark_blocks
+from .legendre import DEFAULT_BLOCK, _mark_blocks, _require_even
 from .oracle import PrimeTable, build_prime_table, primes_upto
 
 __all__ = [
     "ResidueEntry",
     "ResidueBasis",
     "PairCounts",
-    "BoundReport",
     "ScanSummary",
     "default_interval",
     "make_residue_basis",
@@ -55,7 +55,6 @@ __all__ = [
     "prime_pair_list",
     "pair_counts_and_array",
     "bound_value",
-    "bound_report",
     "scan_bounds",
     "iter_pair_counts",
 ]
@@ -63,7 +62,6 @@ __all__ = [
 class ResidueEntry(NamedTuple):
     p: int
     m: int
-    divides_n: bool
 
 
 @dataclass(frozen=True)
@@ -82,11 +80,9 @@ class ResidueBasis:
         a, b = self.interval
         if not 1 <= a <= b <= self.n - 1:
             raise ValueError(f"interval must satisfy 1 <= a <= b <= {self.n - 1}, got [{a}, {b}]")
-        for p, m, div in self.entries:
+        for p, m in self.entries:
             if not 0 <= m < p:
                 raise ValueError(f"residue {m} out of range for modulus {p}")
-            if div != (m == 0):
-                raise ValueError(f"divides flag inconsistent for p={p}, m={m}")
 
     @property
     def a(self) -> int:
@@ -102,67 +98,75 @@ class ResidueBasis:
 
     @property
     def dividing(self) -> tuple[int, ...]:
-        return tuple(e.p for e in self.entries if e.divides_n)
+        return tuple(p for p, m in self.entries if m == 0)
 
 
 @dataclass(frozen=True)
 class PairCounts:
-    """Partition of an interval into hat / tilde / prime-pair positions."""
+    """Partition of an interval into hat / tilde / prime-pair positions.
+    The rest is derived; ``bound``, ``margin`` and ``holds`` need an even
+    n >= 26, and ``bound_value`` runs once per record, at the first read."""
 
     n: int
     interval: tuple[int, int]
-    length: int
     hat: int
     tilde: int
-    composite_pairs: int
     prime_pairs: int
 
     def __post_init__(self) -> None:
-        if min(self.hat, self.tilde, self.composite_pairs, self.prime_pairs) < 0:
+        if min(self.hat, self.tilde, self.prime_pairs) < 0:
             raise ValueError("counts must be nonnegative")
-        if self.hat + self.tilde != self.composite_pairs:
-            raise ValueError("hat + tilde must equal composite_pairs")
-        if self.composite_pairs + self.prime_pairs != self.length:
-            raise ValueError("composite_pairs + prime_pairs must equal interval length")
+        if self.hat + self.tilde + self.prime_pairs != self.length:
+            raise ValueError("hat + tilde + prime_pairs must equal interval length")
 
+    @property
+    def length(self) -> int:
+        return self.interval[1] - self.interval[0] + 1
 
-@dataclass(frozen=True)
-class BoundReport:
-    """One n compared against the analytic prime-pair lower bound."""
+    @property
+    def composite_pairs(self) -> int:
+        return self.hat + self.tilde
 
-    n: int
-    prime_pairs: int
-    bound: float
-    margin: float
-    holds: bool
+    @functools.cached_property
+    def bound(self) -> float:
+        return bound_value(self.n)
 
-    def __post_init__(self) -> None:
-        if self.holds != (self.prime_pairs > self.bound):
-            raise ValueError("holds flag inconsistent with prime_pairs vs bound")
+    @property
+    def margin(self) -> float:
+        return self.prime_pairs - self.bound
+
+    @property
+    def holds(self) -> bool:
+        return self.prime_pairs > self.bound
 
 
 @dataclass
 class ScanSummary:
-    """Streaming aggregate over BoundReports."""
+    """Streaming aggregate over the records of ``scan_bounds``."""
 
     count: int = 0
     violations: int = 0
     min_margin: float = math.inf
     min_margin_n: int | None = None
 
-    def add(self, report: BoundReport) -> None:
+    def add(self, record: PairCounts) -> None:
         self.count += 1
-        if not report.holds:
+        if not record.holds:
             self.violations += 1
-        if report.margin < self.min_margin:
-            self.min_margin = report.margin
-            self.min_margin_n = report.n
+        if record.margin < self.min_margin:
+            self.min_margin = record.margin
+            self.min_margin_n = record.n
 
 
 def default_interval(n: int) -> tuple[int, int]:
     """Inclusive [ceil(sqrt(n)), n - ceil(sqrt(n))]."""
     a = math.isqrt(n - 1) + 1
     return a, n - a
+
+
+def _require_pair_n(n: int) -> None:
+    """Reject n outside the pair sieve's domain, the even n >= 8."""
+    _require_even(n, 8)
 
 
 def make_residue_basis(
@@ -179,13 +183,11 @@ def make_residue_basis(
     interval : (int, int), optional
         Inclusive override; defaults to ``default_interval(n)``.
     """
-    if n < 8 or n % 2 != 0:
-        raise ValueError(f"n must be an even integer >= 8, got {n}")
+    _require_pair_n(n)
     r = math.isqrt(n)
     if table.limit < r:
         raise ValueError(f"table covers only {table.limit}, need {r}")
-    entries = tuple([ResidueEntry(p, m, m == 0)
-                     for p in primes_upto(table.primes, r).tolist() for m in (n % p,)])
+    entries = tuple([ResidueEntry(p, n % p) for p in primes_upto(table.primes, r).tolist()])
     return ResidueBasis(n=n, interval=interval or default_interval(n), entries=entries)
 
 
@@ -202,8 +204,8 @@ def _odd_passes(basis: ResidueBasis) -> tuple[list[tuple[int, int]], list[tuple[
     the inverse of 2; p = 2 marks the even x alone, which are counted
     apart."""
     hat, other = [], []
-    for p, m, divides in basis.entries:
-        if not divides:
+    for p, m in basis.entries:
+        if m:
             other.append((p, (p - 1) // 2))
             other.append((p, (m - 1) * (p + 1) // 2 % p))
         elif p > 2:
@@ -284,10 +286,8 @@ def _sieve(
 
 
 def _partition(basis: ResidueBasis, hat: int, composite: int) -> PairCounts:
-    length = basis.length
-    return PairCounts(n=basis.n, interval=basis.interval, length=length, hat=hat,
-                      tilde=composite - hat, composite_pairs=composite,
-                      prime_pairs=length - composite)
+    return PairCounts(n=basis.n, interval=basis.interval, hat=hat, tilde=composite - hat,
+                      prime_pairs=basis.length - composite)
 
 
 def tilde_composite_pairs(basis: ResidueBasis) -> int:
@@ -332,7 +332,7 @@ def _union_count(entries: Sequence[ResidueEntry], a: int, b: int) -> int:
     residues = np.zeros(1, dtype=np.int64)
     signs = np.array([-1], dtype=np.int64)  # root: empty selection
     total = 0
-    for p, m, _ in reversed(entries):
+    for p, m in reversed(entries):
         ext_m = mods * p
         inv_cur = _inverse_table(p)[mods % p]
         keep_m, keep_r, keep_s = [mods], [residues], [signs]
@@ -376,7 +376,7 @@ def tilde_composite_pairs_ie(basis: ResidueBasis) -> int:
 
 
 # ---------------------------------------------------------------------------
-# pair counts, survivor lists, bound reports
+# pair counts, survivor lists, the lower bound
 # ---------------------------------------------------------------------------
 
 
@@ -421,18 +421,8 @@ def bound_value(n: int) -> float:
     return (n - 4.0 * root) / math.log(n - root) ** 2
 
 
-def bound_report(counts: PairCounts) -> BoundReport:
-    """Compare one n's prime-pair count against ``bound_value``:
-    margin = prime_pairs - bound, and the bound holds when margin > 0."""
-    bound = bound_value(counts.n)
-    pairs = counts.prime_pairs
-    return BoundReport(
-        n=counts.n, prime_pairs=pairs, bound=bound, margin=pairs - bound, holds=pairs > bound
-    )
-
-
 # ---------------------------------------------------------------------------
-# scanning: pair counts read off one prime bitmap per span of n, the sieve
+# scanning: one PairCounts per n, off one prime bitmap per span, the sieve
 # as the verifier; optionally parallel over spans, output always ascending
 # ---------------------------------------------------------------------------
 
@@ -507,8 +497,7 @@ def _bitmap_span(span: tuple[int, int, int]) -> list[PairCounts]:
         if want is not None and (hat, pairs) != (want.hat, want.prime_pairs):
             raise RuntimeError(f"bitmap counts hat={hat} prime_pairs={pairs} != sieved "
                                f"hat={want.hat} prime_pairs={want.prime_pairs} for n={n}")
-        out.append(PairCounts(n=n, interval=(a, b), length=length, hat=hat,
-                              tilde=length - hat - pairs, composite_pairs=length - pairs,
+        out.append(PairCounts(n=n, interval=(a, b), hat=hat, tilde=length - hat - pairs,
                               prime_pairs=pairs))
     return out
 
@@ -550,23 +539,23 @@ def _validate_scan_range(start: int, end: int, step: int, minimum: int) -> None:
 
 def scan_bounds(
     start: int, end: int, step: int = 2, *, workers: int = 1
-) -> Iterator[BoundReport]:
-    """Yield a BoundReport for every even n in [start, end] by ``step``.
-
-    Reports come out in ascending n regardless of ``workers``: parallel
-    spans are consumed in submission order. Use ``ScanSummary.add`` on
-    the stream for the aggregate (minimum margin, violation count).
+) -> Iterator[PairCounts]:
+    """``iter_pair_counts`` for start >= 26, where every record has its
+    ``bound``, ``margin`` and ``holds``. The range is checked at the call,
+    not at the first record, so a caller can reject it before writing.
+    Use ``ScanSummary.add`` on the stream for the aggregate (minimum
+    margin, violation count).
     """
     _validate_scan_range(start, end, step, minimum=26)
-    for counts in iter_pair_counts(start, end, step, workers=workers):
-        yield bound_report(counts)
+    return iter_pair_counts(start, end, step, workers=workers)
 
 
 def iter_pair_counts(
     start: int, end: int, step: int = 2, *, workers: int = 1
 ) -> Iterator[PairCounts]:
-    """PairCounts for every even n in [start, end], ascending; parallel-safe
-    in the same way as ``scan_bounds``. Minimum start is 8.
+    """PairCounts for every even n in [start, end] by ``step``; minimum
+    start is 8. Records come out in ascending n whatever ``workers`` is:
+    parallel spans are consumed in submission order.
 
     The n are cut into spans of about ``_SPAN_POSITIONS`` bitmap
     positions, each counted off its own prime bitmap and checked by the

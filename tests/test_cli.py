@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -114,6 +115,15 @@ class TestGoldbach:
     def test_odd_n(self, capsys):
         code, _, _ = run(capsys, "goldbach", "99")
         assert code == 2
+
+    @pytest.mark.parametrize("n", ["-4", "7"])
+    def test_n_is_checked_before_the_table(self, capsys, monkeypatch, n):
+        def no_table(*args):
+            raise AssertionError("a prime table was built before n was checked")
+        monkeypatch.setattr(oracle, "build_prime_table", no_table)
+        code, out, err = run(capsys, "goldbach", n)
+        assert code == 2 and out == ""
+        assert err == f"error: n must be an even integer >= 8, got {n}\n"
 
 
 #: Every 10^k - 1, 10^k and 10^k + 1 up to 10^12: the ends of the digit runs.
@@ -274,6 +284,15 @@ class TestScanBound:
                          "--workers", "8")
         assert out1 == out8
 
+    def test_bound_computed_once_per_n(self, capsys, monkeypatch):
+        # the csv row and the summary both read bound, margin and holds
+        calls = []
+        bound_value = xi.bound_value
+        monkeypatch.setattr(xi, "bound_value", lambda n: calls.append(n) or bound_value(n))
+        code, out, _ = run(capsys, "scan-bound", "1000", "1200", "--emit", "csv")
+        assert code == 0 and len(out.splitlines()) == 102
+        assert calls == list(range(1000, 1201, 2))
+
     def test_json_fields(self, capsys):
         code, out, _ = run(capsys, "scan-bound", "100", "100", "--emit", "json")
         record = json.loads(out.splitlines()[0])
@@ -289,6 +308,36 @@ class TestScanBound:
         lines = target.read_text().splitlines()
         assert lines[0].startswith("n,prime_pairs")
         assert len(lines) == 4
+
+
+#: sha256 of stdout for each argv: a change to the bytes of any record
+#: shows here. scan-bound --emit json is left out, since its full-precision
+#: floats depend on the platform's libm.
+_PINNED_STDOUT = {
+    "scan-bound 1000 2000 --emit csv":
+        "fb2d82f2bf0e95bdd3e1fa4a6567f342b21194b4ea1d6bab2860ca253fac687e",
+    "scan-bound 1000 1200":
+        "84ae63fcd89094d7cf8d8fa6b54619c1016c5c43eb4b419ba04548006c0d5de7",
+    "goldbach 100000 --list":
+        "deb224a7b445120ad69059e600cec0b0865141dd41cfe4dbd037c404d135d100",
+    "goldbach 100000 --list --emit json":
+        "433be59f57884d453753e1fba03df0f05784675e485331b87e23383be928061f",
+    "goldbach 1000 --emit csv":
+        "87e5fd73b63867a8cac04537c07039e60fbc309a0fe2fd87a1c558bcf0d5eb6b",
+    "primecount 1500000 --emit json":
+        "3049feb679dd77136bff6fb3a52f14fbf161ed7225bf7de08be2467bca16ccf4",
+    "composites 100000 --method direct-mark --emit csv":
+        "780ab42c219514ec1d57d68cce89bc086d853dbd571ce78d4050f32fc3c265ba",
+    "selftest --max-n 300":
+        "ccc3502b043109438817a9caf26739d3f92903fea9cbead56c2415d29ebef117",
+}
+
+
+@pytest.mark.parametrize("argv", list(_PINNED_STDOUT))
+def test_stdout_bytes_are_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_STDOUT[argv]
 
 
 class TestSelftest:

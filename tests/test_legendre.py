@@ -1,4 +1,5 @@
 import importlib
+import math
 import pkgutil
 
 import numpy as np
@@ -25,16 +26,15 @@ from pairsieve.legendre import DEFAULT_BLOCK
 class TestMakeBasis:
     def test_examples(self, table_20k):
         b = make_basis(100, table_20k)
-        assert b.primes == (2, 3, 5, 7) and b.l == 4 and b.sqrt_n == 10
+        assert b.primes == (2, 3, 5, 7) and b.l == 4
         assert make_basis(4, table_20k).primes == (2,)
         assert make_basis(10000, table_20k).l == 25
 
     def test_sqrt_bracketing(self, table_20k):
         for n in range(4, 3000, 2):
-            b = make_basis(n, table_20k)
-            assert b.sqrt_n**2 <= n < (b.sqrt_n + 1) ** 2
-            assert all(p <= b.sqrt_n for p in b.primes)
-            assert b.l == pi_oracle(table_20k, b.sqrt_n)
+            b, r = make_basis(n, table_20k), math.isqrt(n)
+            assert all(p <= r for p in b.primes)
+            assert b.l == pi_oracle(table_20k, r)
 
     def test_rejects_odd_and_small(self, table_20k):
         with pytest.raises(ValueError):

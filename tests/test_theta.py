@@ -9,7 +9,6 @@ from pairsieve import (
     DEFAULT_EPSILON,
     EXACT,
     GuardError,
-    GuardedDomain,
     ThetaMode,
     double_theta,
     float_approx,
@@ -82,16 +81,15 @@ class TestThetaSin:
         assert theta_sin(10**9, 10**6) == 1
 
     def test_default_guard_separates_zeros_from_nonzeros(self):
-        from pairsieve import DEFAULT_EPSILON
+        from pairsieve.theta import _GUARD_MAX_D, _GUARD_MAX_X
 
-        guard = GuardedDomain()
         # true zeros at the harshest corner (d=1, x at the guard edge)
         # still evaluate well below epsilon
-        for x in range(guard.max_x - 20, guard.max_x + 1):
+        for x in range(_GUARD_MAX_X - 20, _GUARD_MAX_X + 1):
             assert abs(math.sin(x * math.pi)) < DEFAULT_EPSILON / 3
         # while the smallest nonzero sine for any admissible d sits two
         # orders of magnitude above it
-        assert math.sin(math.pi / guard.max_d) > 100 * DEFAULT_EPSILON
+        assert math.sin(math.pi / _GUARD_MAX_D) > 100 * DEFAULT_EPSILON
 
     def test_exhaustive_mode_agreement_small(self):
         for d in range(1, 31):

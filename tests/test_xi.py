@@ -1,6 +1,7 @@
 import functools
 import math
 import multiprocessing
+import pickle
 import subprocess
 import sys
 
@@ -9,9 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from pairsieve import (
-    BoundReport,
     ScanSummary,
-    bound_report,
     bound_value,
     build_prime_table,
     default_interval,
@@ -53,24 +52,24 @@ class TestResidueBasis:
         basis = make_residue_basis(100, table_20k)
         assert basis.interval == (10, 90)
         by_p = {e.p: e for e in basis.entries}
-        assert by_p[3] == ResidueEntry(3, 1, False)
-        assert by_p[7] == ResidueEntry(7, 2, False)
-        assert by_p[2] == ResidueEntry(2, 0, True)
-        assert by_p[5] == ResidueEntry(5, 0, True)
+        assert by_p[3] == ResidueEntry(3, 1)
+        assert by_p[7] == ResidueEntry(7, 2)
+        assert by_p[2] == ResidueEntry(2, 0)
+        assert by_p[5] == ResidueEntry(5, 0)
 
     def test_n_1000_spot_residues(self, table_20k):
         by_p = {e.p: e for e in make_residue_basis(1000, table_20k).entries}
         assert (by_p[3].m, by_p[7].m, by_p[31].m) == (1, 6, 8)
-        assert not by_p[31].divides_n
+        assert by_p[31].m != 0
 
     def test_n_16(self, table_20k):
         basis = make_residue_basis(16, table_20k)
-        assert basis.entries == (ResidueEntry(2, 0, True), ResidueEntry(3, 1, False))
+        assert basis.entries == (ResidueEntry(2, 0), ResidueEntry(3, 1))
 
     def test_two_always_divides(self, table_20k):
         for n in range(8, 500, 2):
             entries = make_residue_basis(n, table_20k).entries
-            assert entries[0] == ResidueEntry(2, 0, True)
+            assert entries[0] == ResidueEntry(2, 0)
 
     def test_rejects_small_or_odd(self, table_20k):
         with pytest.raises(ValueError):
@@ -80,11 +79,7 @@ class TestResidueBasis:
 
     def test_inconsistent_entries_rejected(self):
         with pytest.raises(ValueError):
-            ResidueBasis(n=100, interval=(10, 90),
-                         entries=(ResidueEntry(3, 3, False),))
-        with pytest.raises(ValueError):
-            ResidueBasis(n=100, interval=(10, 90),
-                         entries=(ResidueEntry(3, 0, False),))
+            ResidueBasis(n=100, interval=(10, 90), entries=(ResidueEntry(3, 3),))
         with pytest.raises(ValueError):
             ResidueBasis(n=100, interval=(90, 10), entries=())
 
@@ -111,7 +106,7 @@ class TestDoubleSieve:
         basis = make_residue_basis(360, table_20k)
         survivors = set(xi._sieve(basis, with_list=True)[2].tolist())
         for x in range(basis.a, basis.b + 1):
-            expected = all(x % p != 0 and x % p != m for p, m, _ in basis.entries)
+            expected = all(x % p != 0 and x % p != m for p, m in basis.entries)
             assert (x in survivors) == expected, x
 
     # n = 30030*m has the seven smallest primes dividing it (hat-heavy),
@@ -144,7 +139,7 @@ def _literal_sieve(basis):
     for p in basis.dividing:
         hat |= xs % p == 0
     marked = hat.copy()
-    for p, m, _ in basis.entries:
+    for p, m in basis.entries:
         marked |= (xs % p == 0) | (xs % p == m)
     return int(hat.sum()), int(marked.sum()), xs[~marked].tolist()
 
@@ -229,7 +224,7 @@ class TestHatTilde:
         for n in (12, 36, 100, 210, 1024):
             basis = make_residue_basis(n, table_20k)
             div = basis.dividing
-            nd = [(p, m) for p, m, divides in basis.entries if not divides]
+            nd = [(p, m) for p, m in basis.entries if m]
             brute = sum(
                 1 for x in range(basis.a, basis.b + 1)
                 if all(x % p for p in div)
@@ -290,11 +285,11 @@ class TestHatTilde:
         # one full period of each prime marks 2 positions when p does not
         # divide n, 1 when it does
         basis = make_residue_basis(420, table_20k)
-        for p, m, divides in basis.entries:
+        for p, m in basis.entries:
             lo = basis.a
             period = list(range(lo, lo + p))
             marked = [x for x in period if x % p == 0 or x % p == m]
-            assert len(marked) == (1 if divides else 2)
+            assert len(marked) == (2 if m else 1)
 
 
 class TestPairCounts:
@@ -377,8 +372,7 @@ class TestPairCounts:
     def test_invalid_partition_rejected(self):
         from pairsieve import PairCounts
         with pytest.raises(ValueError):
-            PairCounts(n=100, interval=(10, 90), length=81, hat=50, tilde=22,
-                       composite_pairs=71, prime_pairs=10)
+            PairCounts(n=100, interval=(10, 90), hat=50, tilde=22, prime_pairs=10)
 
 
 class TestPrimePairList:
@@ -414,7 +408,7 @@ class TestSymmetryInvariants:
     def test_forward_backward_divisor_counts(self, table_20k):
         # x -> n - x matches multiples of p with positions ≡ n (mod p)
         for n in (100, 1000, 7920):
-            for p, m, _ in make_residue_basis(n, table_20k).entries:
+            for p, m in make_residue_basis(n, table_20k).entries:
                 xs = np.arange(1, n)
                 fwd = int(np.count_nonzero(xs % p == 0))
                 bwd = int(np.count_nonzero((n - xs) % p == 0))
@@ -422,7 +416,7 @@ class TestSymmetryInvariants:
 
     def test_residue_shift_counts(self, table_20k):
         for n in (100, 1000, 7920):
-            for p, m, _ in make_residue_basis(n, table_20k).entries:
+            for p, m in make_residue_basis(n, table_20k).entries:
                 xs = np.arange(1, n)
                 zero_class = int(np.count_nonzero(xs % p == 0))
                 m_class = int(np.count_nonzero(xs % p == m))
@@ -447,18 +441,14 @@ class TestBound:
             bound_value(27)
 
     def test_check_bound_examples(self, table_20k):
-        r = bound_report(pair_counts(100, table_20k))
+        r = pair_counts(100, table_20k)
         assert r.prime_pairs == 10 and r.holds
         assert r.margin == pytest.approx(10 - bound_value(100))
-        r = bound_report(pair_counts(1000, table_20k))
+        r = pair_counts(1000, table_20k)
         assert r.prime_pairs == 48 and r.holds
         assert r.margin == pytest.approx(29.5224927, abs=1e-5)
-        r = bound_report(pair_counts(10000, table_20k))
+        r = pair_counts(10000, table_20k)
         assert r.prime_pairs == 250 and r.holds
-
-    def test_report_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            BoundReport(n=100, prime_pairs=1, bound=2.0, margin=-1.0, holds=True)
 
 
 class TestScanBounds:
@@ -480,14 +470,15 @@ class TestScanBounds:
         assert [r.n for r in parallel] == sorted(r.n for r in parallel)
 
     def test_validation(self):
+        # at the call, before the first record is asked for
         with pytest.raises(ValueError):
-            list(scan_bounds(10, 8))
+            scan_bounds(10, 8)
         with pytest.raises(ValueError):
-            list(scan_bounds(24, 100))
+            scan_bounds(24, 100)
         with pytest.raises(ValueError):
-            list(scan_bounds(26, 100, 3))
+            scan_bounds(26, 100, 3)
         with pytest.raises(ValueError):
-            list(scan_bounds(27, 101, 2))
+            scan_bounds(27, 101, 2)
 
     def test_summary_accumulation(self):
         summary = ScanSummary()
@@ -572,6 +563,14 @@ class TestIterPairCounts:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                                 text=True, check=True)
         assert result.stdout == "False\n"
+
+    def test_pickled_record_holds_only_the_counts(self):
+        # a pool worker's records reach the scan's parent by pickle; the
+        # derived values travel in none of them
+        record = xi._bitmap_span((1000, 1010, 2))[0]
+        back = pickle.loads(pickle.dumps(record))
+        assert list(vars(back)) == ["n", "interval", "hat", "tilde", "prime_pairs"]
+        assert back == record and back.bound == bound_value(1000)
 
     def test_pool_size_clamped_to_cpu_count(self, monkeypatch):
         monkeypatch.setattr(xi.os, "cpu_count", lambda: 2)
