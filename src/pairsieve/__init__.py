@@ -24,7 +24,6 @@ from .theta import (
 from .legendre import (
     COMPOSITE_METHODS,
     PRIME_METHODS,
-    SieveBasis,
     composite_count,
     count_multiples,
     make_basis,

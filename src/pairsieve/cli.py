@@ -249,8 +249,11 @@ def cmd_goldbach(args: argparse.Namespace, out: IO[str]) -> int:
         print(record, file=out)
 
     if args.oracle_check:
-        full = oracle.build_prime_table(n)
-        expected = oracle.goldbach_pairs_oracle(full, n, counts.interval)
+        # the sieve keeps x when x and n - x are each 1 or a prime > isqrt(n)
+        full, r = oracle.build_prime_table(n), math.isqrt(n)
+        ends = [x for x in (1, n - 1) if a <= x <= b and full.flags[n - 1]]
+        expected = sorted(ends + [x for x in oracle.goldbach_pairs_oracle(
+            full, n, counts.interval) if r < x < n - r])
         if not np.array_equal(pairs, expected):
             print(f"oracle mismatch for n={n}: sieve found {len(pairs)} pairs, "
                   f"brute force found {len(expected)}", file=sys.stderr)

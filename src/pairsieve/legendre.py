@@ -9,17 +9,18 @@ count:
   (residue-class marking), then correct by the basis size;
 * ``"direct-mark"`` / ``"survivor"`` -- classical marking sieves.
 
-``"theta-sum"`` and ``"survivor"`` read one marked count, and both
-closing formulas reduce to n - 1 - divisible + l, so their agreement
-checks no more than one of them does. The independent checks of a
-prime count are phi (``"legendre"``) and the oracle module.
+``"theta-sum"`` and ``"survivor"`` read one marked count and close with
+one formula, n - 1 - divisible + l, so their agreement checks no more
+than one of them does. The independent checks of a count are phi
+(``"legendre"``), the composites marked from p^2 and the oracle module.
 
 The marking methods run on the package's one residue-class marking
 kernel, which ``xi``'s double sieve shares, in the same layout: index i
 is the odd x = 2i + 1, and the even x, all divisible by 2, are counted
-in closed form. Here, from n = 13^2 on, a block starts as the odd half
+in closed form. Here, for every n >= 4, a block starts as the odd half
 of the wheel, tiled if need be: the marks of 3, 5, 7, 11 and 13 over one
-period of 30030 integers, 15015 odd indices. The whole wheel is a
+period of 30030 integers, 15015 odd indices; one line takes off the
+wheel primes that the basis leaves unmarked. The whole wheel is a
 read-only module constant that phi(x, a) starts from too.
 
 All of them are validated against the oracle module in the test suite.
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -37,7 +37,6 @@ import numpy as np
 from .oracle import PrimeTable, build_prime_table, is_prime_trial, primes_upto
 
 __all__ = [
-    "SieveBasis",
     "make_basis",
     "count_multiples",
     "varpi_p",
@@ -52,41 +51,18 @@ COMPOSITE_METHODS = ("legendre", "theta-sum", "direct-mark")
 PRIME_METHODS = ("legendre", "theta-sum", "survivor")
 
 
-@dataclass(frozen=True)
-class SieveBasis:
-    """The primes p <= floor(sqrt(n)) used to sieve [1, n].
-
-    Attributes
-    ----------
-    n : int
-        Even integer >= 4 whose range is being sieved.
-    primes : tuple of int
-        Ascending primes <= floor(sqrt(n)).
-    l : int
-        len(primes), a property.
-    """
-
-    n: int
-    primes: tuple[int, ...]
-
-    @property
-    def l(self) -> int:
-        return len(self.primes)
-
-
 def _require_even(n: int, minimum: int = 4) -> None:
     if n < minimum or n % 2 != 0:
         raise ValueError(f"n must be an even integer >= {minimum}, got {n}")
 
 
-def make_basis(n: int, table: PrimeTable) -> SieveBasis:
-    """Basis of primes <= floor(sqrt(n)) for an even n >= 4."""
+def make_basis(n: int, table: PrimeTable) -> tuple[int, ...]:
+    """The basis of an even n >= 4: the ascending tuple of primes <= sqrt(n)."""
     _require_even(n)
     r = math.isqrt(n)
     if table.limit < r:
         raise ValueError(f"table covers only {table.limit}, need {r}")
-    ps = tuple(primes_upto(table.primes, r).tolist())
-    return SieveBasis(n=n, primes=ps)
+    return tuple(primes_upto(table.primes, r).tolist())
 
 
 def count_multiples(a: int, b: int, d: int) -> int:
@@ -209,38 +185,32 @@ def _phi(x: int, a: int, primes: Sequence[int]) -> int:
     return total
 
 
-def _marked_count(basis: SieveBasis, from_squares: bool = False) -> int:
-    """Number of x in [1, n] that the basis primes mark.
+def _marked_count(n: int, primes: tuple[int, ...], from_squares: bool = False) -> int:
+    """Number of x in [1, n] that the basis ``primes`` of n mark.
 
     Each prime p marks its multiples; with ``from_squares`` it marks them
     from p*p on, which leaves exactly the composites <= n. The n/2 even x
     count as marked, by 2; one pass of the kernel marks the odd x, index
-    i for x = 2i + 1, where an odd p marks every p-th index from p // 2
-    (x = p), or from p*p // 2 (x = p*p). Once the basis holds every wheel
-    prime (n >= 13^2), each block starts as the odd wheel marks, tiled
-    when n spans more than one period, and only the primes above 13 are
-    marked; below that the n/2 indices are a single block marked directly.
+    i for x = 2i + 1. Each block starts as the odd wheel marks, tiled
+    when n spans more than one period, and only the primes above 13 mark
+    every p-th index from p // 2 (x = p), or from p*p // 2 (x = p*p).
+    The wheel marks each of its primes q <= n, which the basis leaves
+    unmarked when q > sqrt(n) or with ``from_squares``: those q are taken
+    off. No other x is marked by the wheel alone: a multiple kq <= n,
+    k > 1, of a q > sqrt(n) has k < sqrt(n), so a basis prime divides it.
     """
-    n, primes = basis.n, basis.primes
     h = n // 2
-    if basis.l >= len(_WHEEL_PRIMES):
-        periods = min(n // _PERIOD + 1, DEFAULT_BLOCK // _ODD_WHEEL_MARKS.size)
-        blank = _ODD_WHEEL_MARKS if periods == 1 else np.tile(_ODD_WHEEL_MARKS, periods)
-        # the wheel marks its own primes, and 2 is among the even x
-        block, sieving, wheel_primes = blank.size, primes[len(_WHEEL_PRIMES):], len(_WHEEL_PRIMES)
-    else:
-        blank, block, sieving, wheel_primes = None, h, primes[1:], 1
-    marks = [(p, (p * p if from_squares else p) // 2) for p in sieving]
+    periods = min(n // _PERIOD + 1, DEFAULT_BLOCK // _ODD_WHEEL_MARKS.size)
+    blank = _ODD_WHEEL_MARKS if periods == 1 else np.tile(_ODD_WHEEL_MARKS, periods)
+    marks = [(p, (p * p if from_squares else p) // 2) for p in primes[len(_WHEEL_PRIMES):]]
     marked = h
-    for _, _, (count,) in _mark_blocks(0, h - 1, (marks,), block, blank):
+    for _, _, (count,) in _mark_blocks(0, h - 1, (marks,), blank.size, blank):
         marked += count
-    if from_squares:
-        # a prime marking from p*p does not mark itself
-        marked -= wheel_primes
-    return marked
+    r = math.isqrt(n)
+    return marked - sum(1 for q in _WHEEL_PRIMES if q <= n and (from_squares or q > r))
 
 
-def _basis_for(n: int, table: PrimeTable | None) -> SieveBasis:
+def _basis_for(n: int, table: PrimeTable | None) -> tuple[int, ...]:
     if table is None:
         table = build_prime_table(max(math.isqrt(n), 2))
     return make_basis(n, table)
@@ -249,41 +219,32 @@ def _basis_for(n: int, table: PrimeTable | None) -> SieveBasis:
 def composite_count(n: int, method: str = "legendre", table: PrimeTable | None = None) -> int:
     """Number of composites in [4, n] for even n >= 4.
 
-    ``"legendre"`` is n - phi(n, l) - l; ``"theta-sum"`` counts integers
-    divisible by some basis prime and subtracts the basis size;
-    ``"direct-mark"`` marks composites outright. The three agree
-    identically. ``table`` must cover floor(sqrt(n)); without one, a
-    table is built for this call.
+    ``"legendre"`` and ``"theta-sum"`` are n - 1 less that method's
+    prime count; ``"direct-mark"`` marks composites outright, each basis
+    prime from its square. The three agree identically. ``table`` must
+    cover floor(sqrt(n)); without one, a table is built for this call.
     """
     _require_even(n)
     if method not in COMPOSITE_METHODS:
         raise ValueError(f"method must be one of {COMPOSITE_METHODS}, got {method!r}")
-    basis = _basis_for(n, table)
-    if method == "legendre":
-        return n - _phi(n, basis.l, basis.primes) - basis.l
-    if method == "theta-sum":
-        return _marked_count(basis) - basis.l
-    return _marked_count(basis, from_squares=True)
+    if method != "direct-mark":
+        return n - 1 - prime_count(n, method, table)
+    return _marked_count(n, _basis_for(n, table), from_squares=True)
 
 
 def prime_count(n: int, method: str = "legendre", table: PrimeTable | None = None) -> int:
     """Number of primes <= n for even n >= 4.
 
-    ``"legendre"`` is phi(n, l) + l - 1 (phi counts 1 and the primes
-    above sqrt(n)); ``"theta-sum"`` subtracts the divisible count from
-    n - 1 and adds back the basis size; ``"survivor"`` counts integers
-    no basis prime divides, then adds l - 1 (the survivors are 1 and the
-    primes above sqrt(n)). ``table`` must cover floor(sqrt(n)); without
-    one, a table is built for this call.
+    With l the basis size, ``"legendre"`` is phi(n, l) + l - 1 (phi
+    counts 1 and the primes above sqrt(n)); ``"theta-sum"`` and
+    ``"survivor"`` are n - 1 - divisible + l, from the x in [1, n] that
+    some basis prime divides. ``table`` must cover floor(sqrt(n));
+    without one, a table is built for this call.
     """
     _require_even(n)
     if method not in PRIME_METHODS:
         raise ValueError(f"method must be one of {PRIME_METHODS}, got {method!r}")
-    basis = _basis_for(n, table)
+    primes = _basis_for(n, table)
     if method == "legendre":
-        return _phi(n, basis.l, basis.primes) + basis.l - 1
-    divisible = _marked_count(basis)
-    if method == "theta-sum":
-        return n - 1 - divisible + basis.l
-    survivors = n - divisible
-    return survivors + basis.l - 1
+        return _phi(n, len(primes), primes) + len(primes) - 1
+    return n - 1 - _marked_count(n, primes) + len(primes)

@@ -39,7 +39,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .legendre import DEFAULT_BLOCK, _mark_blocks, _require_even
+from .legendre import DEFAULT_BLOCK, _mark_blocks, _require_even, make_basis
 from .oracle import PrimeTable, build_prime_table, primes_upto
 
 __all__ = [
@@ -184,10 +184,7 @@ def make_residue_basis(
         Inclusive override; defaults to ``default_interval(n)``.
     """
     _require_pair_n(n)
-    r = math.isqrt(n)
-    if table.limit < r:
-        raise ValueError(f"table covers only {table.limit}, need {r}")
-    entries = tuple([ResidueEntry(p, n % p) for p in primes_upto(table.primes, r).tolist()])
+    entries = tuple([ResidueEntry(p, n % p) for p in make_basis(n, table)])
     return ResidueBasis(n=n, interval=interval or default_interval(n), entries=entries)
 
 

@@ -81,6 +81,14 @@ class TestGoldbach:
                            "--oracle-check")
         assert code == 0 and err == ""
 
+    # the sieve keeps x when x and n - x are each 1 or a prime > isqrt(n):
+    # 3, 5, 7 <= isqrt(n) drop out, and at n = 8, x = 1 and 7 stay
+    @pytest.mark.parametrize("argv", ["16 --interval 3:13", "100 --interval 2:98 --list",
+                                      "8 --interval 1:7 --list"])
+    def test_wide_interval_with_oracle(self, capsys, argv):
+        code, _, err = run(capsys, "goldbach", *argv.split(), "--oracle-check")
+        assert code == 0 and err == ""
+
     def test_json_with_list(self, capsys):
         code, out, _ = run(capsys, "goldbach", "100", "--list", "--emit", "json")
         record = json.loads(out)
@@ -330,6 +338,15 @@ _PINNED_STDOUT = {
         "780ab42c219514ec1d57d68cce89bc086d853dbd571ce78d4050f32fc3c265ba",
     "selftest --max-n 300":
         "ccc3502b043109438817a9caf26739d3f92903fea9cbead56c2415d29ebef117",
+    # counts below n = 13^2, where wheel primes lie above sqrt(n)
+    "primecount 168 --method theta-sum":
+        "eedb85ab90d324a555a45560d75c88cecf23721990c3b6353697d707e6465c74",
+    "primecount 100 --method survivor --emit json":
+        "28d3f2ff8d4da6d891987ffbc3b64ba30e3d7d2db8af9dbab9b7ffa5a1bb4c3b",
+    "composites 166 --method direct-mark --emit csv":
+        "d9dcd9cd35a4feac3f00338c289fcf8a85bf308e68a5f7b38abf8b687a2f40c2",
+    "composites 4 --method theta-sum":
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
 }
 
 

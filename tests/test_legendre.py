@@ -25,16 +25,15 @@ from pairsieve.legendre import DEFAULT_BLOCK
 
 class TestMakeBasis:
     def test_examples(self, table_20k):
-        b = make_basis(100, table_20k)
-        assert b.primes == (2, 3, 5, 7) and b.l == 4
-        assert make_basis(4, table_20k).primes == (2,)
-        assert make_basis(10000, table_20k).l == 25
+        assert make_basis(100, table_20k) == (2, 3, 5, 7)
+        assert make_basis(4, table_20k) == (2,)
+        assert len(make_basis(10000, table_20k)) == 25
 
     def test_sqrt_bracketing(self, table_20k):
         for n in range(4, 3000, 2):
             b, r = make_basis(n, table_20k), math.isqrt(n)
-            assert all(p <= r for p in b.primes)
-            assert b.l == pi_oracle(table_20k, r)
+            assert all(p <= r for p in b)
+            assert len(b) == pi_oracle(table_20k, r)
 
     def test_rejects_odd_and_small(self, table_20k):
         with pytest.raises(ValueError):
@@ -172,7 +171,8 @@ class TestPrimeCount:
             assert composite_count(n) + prime_count(n) + 1 == n
 
 
-# n < 169 (fewer than six basis primes), 30030k +- 2 (the wheel period),
+# n < 169 (wheel primes above sqrt(n), which the count takes off the
+# wheel marks), 30030k +- 2 (the wheel period),
 # 34 and 68 periods +- 2, 2e7, and one and two kernel blocks +- 2 (a
 # block is the whole periods of 15015 odd indices that fit, 2,072,070
 # integers)
@@ -209,9 +209,10 @@ class TestEdges:
         for method in COMPOSITE_METHODS:
             assert composite_count(n, method, table_2e7) == composite_count(n, method)
 
-    # from n = 13^2 on, a count starts from the odd wheel marks: one
-    # period of them as they are below n = 30030, tiled from there. The
-    # n = 2 (mod 4) take both steps, 166 to 170 and 30026 to 30030.
+    # a count starts from the odd wheel marks: one period of them as they
+    # are below n = 30030, tiled from there; from n = 13^2 on, no wheel
+    # prime is taken off them. The n = 2 (mod 4) take both steps, 166 to
+    # 170 and 30026 to 30030.
     def test_every_method_matches_oracle_from_the_wheel_start(self):
         table = build_prime_table(30040)
         for n in range(162, 30041, 4):
