@@ -15,13 +15,16 @@ than one of them does. The independent checks of a count are phi
 (``"legendre"``), the composites marked from p^2 and the oracle module.
 
 The marking methods run on the package's one residue-class marking
-kernel, which ``xi``'s double sieve shares, in the same layout: index i
-is the odd x = 2i + 1, and the even x, all divisible by 2, are counted
-in closed form. Here, for every n >= 4, a block starts as the odd half
-of the wheel, tiled if need be: the marks of 3, 5, 7, 11 and 13 over one
-period of 30030 integers, 15015 odd indices; one line takes off the
-wheel primes that the basis leaves unmarked. The whole wheel is a
-read-only module constant that phi(x, a) starts from too.
+kernel, which ``xi``'s double sieve shares, in the same layout: the
+lanes x = wj + r of a wheel w, index j in a lane. Below
+``_LANE_SWITCH`` blocks of odd x the wheel is 2, whose one lane is the
+odd x; from there it is 30, and the lanes that 3 and 5 decide are
+counted, not marked. The x that share a factor with the wheel are
+counted in closed form. In the odd layout a block starts as the odd
+half of the wheel, tiled if need be: the marks of 3, 5, 7, 11 and 13
+over one period of 30030 integers, 15015 odd indices; one line takes
+off the wheel primes that the basis leaves unmarked. The whole wheel is
+a read-only module constant that phi(x, a) starts from too.
 
 All of them are validated against the oracle module in the test suite.
 """
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -101,13 +104,46 @@ def varpi_pq(n: int, p: int, q: int) -> int:
     return n // p + n // q - n // (p * q) - 2
 
 
-#: Odd indices i (x = 2i + 1) per block of the marking kernel, so about
-#: 2^21 integers; the wheel-presieved counts here take the whole odd
-#: periods that fit. The cost of a block is Python overhead per slice
+#: Positions per block of the marking kernel: odd x (x = 2i + 1 at
+#: index i), or in the wheel-30 lanes the x = 30j + r of one lane. The
+#: counts here take the whole periods of the odd-wheel blank that fit
+#: in the odd layout. The cost of a block is Python overhead per slice
 #: assignment, not memory bandwidth, so large blocks win; 2^19 to 2^21
 #: were level for ``xi`` at n near 2e7 and 2^20 fastest at 1e8. Results
 #: are identical for any size >= 1.
 DEFAULT_BLOCK = 1 << 20
+
+#: Blocks of odd positions from which a marking runs in the lanes of the
+#: wheel 30 rather than over every odd x. Below it the short lanes cost
+#: more in per-slice overhead than the lanes that 3 and 5 decide save.
+#: With a list, the pair sieve broke even near 1.9 blocks for n = 30030m,
+#: whose 8 lanes prime to 30 all mark (10% slower at 1.5), near 1 block
+#: for n divisible by 3 alone and below 0.5 for n = 2q, with 3 lanes to
+#: mark; the marked count, with 8, near 0.5 blocks. One even n in 15 is
+#: divisible by 15.
+_LANE_SWITCH = 1.5
+
+
+def _wheel(positions: int, block_size: int) -> int:
+    """The wheel whose lanes lay out ``positions`` odd x: 30 from
+    ``_LANE_SWITCH`` blocks of them on, else 2, the one lane of every odd x."""
+    if block_size < 1:
+        raise ValueError(f"block_size must be >= 1, got {block_size}")
+    return 30 if positions >= _LANE_SWITCH * block_size else 2
+
+
+#: ``_INVERSES_30[v]`` = v^-1 (mod 30) for v prime to 30, else 0.
+_INVERSES_30 = tuple(pow(v, -1, 30) if math.gcd(v, 30) == 1 else 0 for v in range(30))
+
+
+def _lane_marks(wheel: int, r: int, starts: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The kernel's marks in the lane x = wheel*j + r: for each (p, x0) of
+    ``starts``, p and the j of the first x >= x0 with x = x0 (mod p),
+    x = x0 + p((r - x0)p^-1 mod wheel); for the wheel 2, x0 or x0 + p."""
+    if wheel == 2:  # the same x in fewer steps, for the many small sieves
+        return [(p, (x0 + p * (1 - x0 % 2)) // 2) for p, x0 in starts]
+    return [(p, (x0 + p * ((r - x0) * _INVERSES_30[p % 30] % 30) - r) // 30)
+            for p, x0 in starts]
 
 
 def _mark_blocks(
@@ -189,25 +225,40 @@ def _marked_count(n: int, primes: tuple[int, ...], from_squares: bool = False) -
     """Number of x in [1, n] that the basis ``primes`` of n mark.
 
     Each prime p marks its multiples; with ``from_squares`` it marks them
-    from p*p on, which leaves exactly the composites <= n. The n/2 even x
-    count as marked, by 2; one pass of the kernel marks the odd x, index
-    i for x = 2i + 1. Each block starts as the odd wheel marks, tiled
-    when n spans more than one period, and only the primes above 13 mark
-    every p-th index from p // 2 (x = p), or from p*p // 2 (x = p*p).
-    The wheel marks each of its primes q <= n, which the basis leaves
-    unmarked when q > sqrt(n) or with ``from_squares``: those q are taken
-    off. No other x is marked by the wheel alone: a multiple kq <= n,
-    k > 1, of a q > sqrt(n) has k < sqrt(n), so a basis prime divides it.
+    from p*p on, which leaves exactly the composites <= n. The kernel
+    marks the lanes x = wj + r with r prime to the wheel w (``_wheel``),
+    each prime from its first multiple x >= p, or x >= p*p, in the lane:
+    the odd x for w = 2, the 8 lanes prime to 30 from ``_LANE_SWITCH``
+    blocks of odd x on. The x sharing a factor with w are the n less the
+    lanes' sizes: n//2, or n//2 + n//3 + n//5 - n//6 - n//10 - n//15 +
+    n//30. For w = 2 each block starts as the odd-wheel marks, tiled when
+    n spans more than one period, and only the primes above 13 mark; the
+    lanes of 30 start unmarked, and the primes above 5 mark. The wheel
+    marks each of its primes q <= n, which the basis leaves unmarked when
+    q > sqrt(n) or with ``from_squares``: those q are taken off. No other
+    x is marked by the wheel alone: a multiple kq <= n, k > 1, of a
+    q > sqrt(n) has k < sqrt(n), so a basis prime divides it.
     """
-    h = n // 2
-    periods = min(n // _PERIOD + 1, DEFAULT_BLOCK // _ODD_WHEEL_MARKS.size)
-    blank = _ODD_WHEEL_MARKS if periods == 1 else np.tile(_ODD_WHEEL_MARKS, periods)
-    marks = [(p, (p * p if from_squares else p) // 2) for p in primes[len(_WHEEL_PRIMES):]]
-    marked = h
-    for _, _, (count,) in _mark_blocks(0, h - 1, (marks,), blank.size, blank):
-        marked += count
+    wheel = _wheel(n // 2, DEFAULT_BLOCK)
+    if wheel == 2:  # each block starts as the odd-wheel marks of 3 to 13
+        presieved = _WHEEL_PRIMES
+        periods = min(n // _PERIOD + 1, DEFAULT_BLOCK // _ODD_WHEEL_MARKS.size)
+        blank = _ODD_WHEEL_MARKS if periods == 1 else np.tile(_ODD_WHEEL_MARKS, periods)
+        block_size = blank.size
+    else:  # the lanes prime to 30 start unmarked
+        presieved, blank, block_size = _WHEEL_PRIMES[:3], None, DEFAULT_BLOCK
+    marking = primes[len(presieved):]
+    starts = [p * p for p in marking] if from_squares else marking  # x marked from
+    unmarked = 0
+    for r in range(1, wheel, 2):
+        if math.gcd(r, wheel) > 1:
+            continue
+        marks = _lane_marks(wheel, r, zip(marking, starts))
+        for _, block, (count,) in _mark_blocks(0, (n - r) // wheel, (marks,), block_size, blank):
+            unmarked += block.size - count
+        block = None  # the lane's buffer goes before the next lane makes its own
     r = math.isqrt(n)
-    return marked - sum(1 for q in _WHEEL_PRIMES if q <= n and (from_squares or q > r))
+    return n - unmarked - sum(1 for q in presieved if q <= n and (from_squares or q > r))
 
 
 def _basis_for(n: int, table: PrimeTable | None) -> tuple[int, ...]:

@@ -11,15 +11,17 @@ Positions knocked out by a prime dividing n are counted as ``hat``,
 positions knocked out only by non-dividing primes as ``tilde``; the two
 are disjoint by construction, so hat + tilde + survivors partitions the
 interval. p = 2 divides n, so every even x is hat, counted in closed
-form; the sieve marks the odd x alone, index i standing for x = 2i + 1,
-in two passes of ``legendre``'s residue-class marking kernel: class 0 of
-the odd dividing primes, counted as hat, then both classes of the
-others. Each position read forward and backward sums to n, as
-x + (n - x) = n, so all three sets are symmetric under x -> n - x: on
-a symmetric interval, the default one included, only [a, n/2] is marked
-and every count doubled, less the centre n/2 when it is odd. That
-centre is hat if an odd basis prime divides n, never tilde, and a
-survivor otherwise. A scan's record for each n compares its survivor
+form; the sieve marks the odd x alone, in two passes of ``legendre``'s
+residue-class marking kernel: class 0 of the odd dividing primes,
+counted as hat, then both classes of the others. It lays them out in
+the lanes x = wj + r of a wheel w: the one lane of odd x, or, over a
+long interval, the 15 odd lanes of 30, of which 3 and 5 decide whole
+lanes as hat or as composite. Each position read forward and backward
+sums to n, as x + (n - x) = n, so all three sets are symmetric under
+x -> n - x: on a symmetric interval, the default one included, only
+[a, n/2] is marked and every count doubled, less the centre n/2 when it
+is odd. That centre is hat if an odd basis prime divides n, never
+tilde, and a survivor otherwise. A scan's record for each n compares its survivor
 count with the analytic lower bound (n - 4*sqrt(n)) / ln^2(n - sqrt(n)).
 
 Over the default interval the survivors are exactly the prime pairs, so
@@ -39,7 +41,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .legendre import DEFAULT_BLOCK, _mark_blocks, _require_even, make_basis
+from .legendre import DEFAULT_BLOCK, _lane_marks, _mark_blocks, _require_even, _wheel, make_basis
 from .oracle import PrimeTable, build_prime_table, primes_upto
 
 __all__ = [
@@ -193,23 +195,6 @@ def make_residue_basis(
 # ---------------------------------------------------------------------------
 
 
-def _odd_passes(basis: ResidueBasis) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """The kernel's two passes over the odd x = 2i + 1, as (p, first i):
-    class 0 of the odd primes dividing n, whose count is the odd part of
-    hat, then classes 0 and m of the others, which bring it to hat +
-    tilde. Class c of p is i = (c - 1)(p + 1)/2 (mod p), (p + 1)/2 being
-    the inverse of 2; p = 2 marks the even x alone, which are counted
-    apart."""
-    hat, other = [], []
-    for p, m in basis.entries:
-        if m:
-            other.append((p, (p - 1) // 2))
-            other.append((p, (m - 1) * (p + 1) // 2 % p))
-        elif p > 2:
-            hat.append((p, (p - 1) // 2))
-    return hat, other
-
-
 def _signed_divisors(primes: Sequence[int], bound: int) -> list[tuple[int, int]]:
     """(d, sign) for every squarefree product d > 1 of ``primes`` up to
     ``bound``: sign 1 for an odd number of factors, -1 for an even one."""
@@ -232,51 +217,91 @@ def _sieve(
     interval: int32 for n < 2^31, else int64.
 
     The even x are all hat, by p = 2, and are counted in closed form; the
-    kernel marks the odd x. The sets are symmetric under x -> n - x, so
-    on a symmetric interval (a + b = n) only [a, n/2] is marked and each
-    count doubled, less the centre n/2 when it is odd: then it is hat if
-    an odd basis prime divides n, since p | n/2 exactly when p | n, and
-    never tilde, since n/2 = n (mod p) means p | n/2. It survives
-    otherwise. The marked hat plus the even x is re-derived by
-    inclusion-exclusion; a disagreement means a broken sieve and raises.
+    kernel marks the odd x, laid out in the lanes x = wj + r of the wheel
+    w (``legendre._wheel``): one lane for w = 2, the 15 odd r for w = 30.
+    There 3 and 5 decide whole lanes. A lane r = 0 (mod p) of a p | n is
+    all hat, counted in closed form; one in class 0 or m of a p not
+    dividing n is all composite, and only class 0 of the dividing primes
+    above 5 marks it, for its hat. In every other lane the kernel marks,
+    in two passes, class 0 of the dividing primes, whose count is the
+    lane's hat, then classes 0 and m of the others, which bring it to
+    hat + tilde. The lanes' survivors are sorted into one array.
+
+    The sets are symmetric under x -> n - x, so on a symmetric interval
+    (a + b = n) only [a, n/2] is marked and each count doubled, less the
+    centre n/2 when it is odd: then it is hat if an odd basis prime
+    divides n, since p | n/2 exactly when p | n, and never tilde, since
+    n/2 = n (mod p) means p | n/2. It survives otherwise. The marked hat
+    plus the even x is re-derived by inclusion-exclusion; a disagreement
+    means a broken sieve and raises.
     """
-    n, (a, b) = basis.n, basis.interval
+    n, (a, b), dividing = basis.n, basis.interval, basis.dividing
     h = n // 2
     symmetric = a + b == n
-    odd_passes = _odd_passes(basis)
+    lo, hi = a | 1, ((h if symmetric else b) - 1) | 1  # the first and last odd x marked
+    wheel = _wheel((hi - lo) // 2 + 1, block_size)
+    # the odd primes that decide whole lanes, and the classes (p, c) the
+    # kernel marks: class 0 of the other dividing primes, then classes 0
+    # and m of the rest
+    decided, hat_classes, other_classes = [], [], []
+    for p, m in basis.entries:
+        if wheel % p == 0:
+            if p > 2:
+                decided.append((p, m))
+        elif m:
+            other_classes += (p, 0), (p, m)
+        else:
+            hat_classes.append((p, 0))
     hat = composite = 0
     dtype = np.int32 if n < 2**31 else np.int64
     chunks = []
-    hi = ((h if symmetric else b) - 1) // 2
-    for lo, marked, counts in _mark_blocks(a // 2, hi, odd_passes, block_size):
-        hat += counts[0]
-        composite += counts[-1]
-        if with_list:
-            x = np.logical_not(marked, out=marked).nonzero()[0].astype(dtype)
-            x *= 2
-            x += 2 * lo + 1
-            chunks.append(x)
+    for r in range(1, wheel, 2):
+        # the lane of the x = wheel*j + r in [lo, hi]: j in [j0, j1]
+        j0, j1 = (lo - r + wheel - 1) // wheel, (hi - r) // wheel
+        size = max(0, j1 - j0 + 1)
+        if decided and any(m == 0 and r % p == 0 for p, m in decided):
+            hat += size
+            composite += size
+            continue
+        passes = [_lane_marks(wheel, r, hat_classes)]
+        if decided and any(r % p in (0, m) for p, m in decided):
+            composite += size
+            if hat_classes:
+                hat += sum(counts[0] for _, _, counts in _mark_blocks(j0, j1, passes, block_size))
+            continue
+        passes.append(_lane_marks(wheel, r, other_classes))
+        for start, marked, counts in _mark_blocks(j0, j1, passes, block_size):
+            hat += counts[0]
+            composite += counts[-1]
+            if with_list:
+                x = np.logical_not(marked, out=marked).nonzero()[0].astype(dtype)
+                x *= wheel
+                x += wheel * start + r
+                chunks.append(x)
+        marked = None  # the lane's buffer goes before the next lane makes its own
     half = sum(chunk.size for chunk in chunks)
     mirrored = 0
     if symmetric:
-        centre_hat = h % 2 == 1 and bool(odd_passes[0])
+        centre_hat = h % 2 == 1 and dividing[-1] > 2  # 2 always divides n
         hat = 2 * hat - centre_hat
         composite = 2 * composite - centre_hat
         mirrored = half - int(h % 2 == 1 and not centre_hat)
     survivors = None
     if with_list:
-        # one allocation: the marked half, then its mirror n - x, less a
-        # surviving centre, written in place behind it
+        # one allocation: the marked half, sorted in place, then its
+        # mirror n - x, less a surviving centre, written behind it
         survivors = np.empty(half + mirrored, dtype)
         if len(chunks) == 1:
             survivors[:half] = chunks[0]
         elif chunks:
             np.concatenate(chunks, out=survivors[:half])
+        if wheel > 2:  # one lane is ascending already
+            survivors[:half].sort()
         np.subtract(n, survivors[:mirrored][::-1], out=survivors[half:])
     evens = b // 2 - (a - 1) // 2
     hat += evens
     composite += evens
-    ie = _hat_inclusion_exclusion(_signed_divisors(basis.dividing, b), a, b)
+    ie = _hat_inclusion_exclusion(_signed_divisors(dividing, b), a, b)
     if hat != ie:
         raise RuntimeError(f"hat marking {hat} != inclusion-exclusion {ie} for n={n}")
     return hat, composite, survivors
@@ -520,9 +545,15 @@ def _spans(start: int, end: int, step: int) -> list[tuple[int, int, int]]:
 
 
 def _pool_size(workers: int) -> int:
-    """Worker processes actually started: more than one per CPU only
-    adds contention, so the request is clamped, never rejected."""
-    return max(1, min(workers, os.cpu_count() or 1))
+    """Worker processes actually started: more than one per CPU this
+    process may run on only adds contention, so the request is clamped,
+    never rejected. The CPUs are the affinity set where the platform has
+    one, else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(workers, cpus))
 
 
 def _validate_scan_range(start: int, end: int, step: int, minimum: int) -> None:

@@ -347,6 +347,18 @@ _PINNED_STDOUT = {
         "d9dcd9cd35a4feac3f00338c289fcf8a85bf308e68a5f7b38abf8b687a2f40c2",
     "composites 4 --method theta-sum":
         "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    # above the switch to the wheel-30 lanes: n = 2q, n = 30030m, a count
+    # near 3e7, and an interval whose ends lie in different lanes
+    "goldbach 19969562 --list --emit json":
+        "e03e1a9904df5463851085d77ca94dc044dd162d75134b59fc604caffc8bbdb6",
+    "goldbach 19429410 --emit csv":
+        "32e0a0e76afe9a7250531e1e912ab3196463ca74b165f2e7db3dc8d46a6d0841",
+    "primecount 29926584 --method survivor":
+        "1d0a3dd6de29523dbc37f94cc2362f83ad0fa690261018e0844a5f469d9d7c23",
+    "composites 29926584 --method direct-mark --emit json":
+        "c850110fb89b9837fb86c89b382b616bf9284737d585afe7d6f9a15565a8d730",
+    "goldbach 20000000 --interval 1000001:5000000 --list":
+        "1a339b01f9bb7878018e1169f5820f394eeb8aeafaec1d44b6a9d1ae20f9111c",
 }
 
 

@@ -173,9 +173,9 @@ class TestPrimeCount:
 
 # n < 169 (wheel primes above sqrt(n), which the count takes off the
 # wheel marks), 30030k +- 2 (the wheel period),
-# 34 and 68 periods +- 2, 2e7, and one and two kernel blocks +- 2 (a
-# block is the whole periods of 15015 odd indices that fit, 2,072,070
-# integers)
+# 34 and 68 periods +- 2, 2e7, and 69 and 138 periods +- 2: the odd
+# indices of one and two kernel blocks of the odd layout, the latter past
+# the switch to the wheel-30 lanes
 PERIODS_34 = 34 * 30030
 BLOCK = DEFAULT_BLOCK // 15015 * 30030
 EDGE_N = [4, 6, 8, 48, 120, 166, 168, 170,
@@ -226,6 +226,23 @@ class TestEdges:
     @example(n=BLOCK + 30_030)
     def test_every_method_matches_oracle_at_random_n(self, table_2e7, n):
         _every_method_matches_oracle(table_2e7, n)
+
+    # every N mod 30 on both sides of the switch to the wheel-30 lanes, at
+    # N // 2 = _LANE_SWITCH blocks of odd positions
+    def test_every_residue_mod_30_at_the_lane_switch(self):
+        switch = 2 * math.ceil(legendre._LANE_SWITCH * DEFAULT_BLOCK)
+        table = build_prime_table(switch + 30)
+        for n in range(switch - 30, switch + 30, 2):
+            assert legendre._wheel(n // 2, DEFAULT_BLOCK) == (30 if n >= switch else 2), n
+            _every_method_matches_oracle(table, n)
+
+    # the lanes from the smallest n on: the counts of 2, 3 and 5 from the
+    # lanes' sizes, and the wheel primes above sqrt(n) taken off
+    def test_every_method_matches_oracle_in_the_lanes_at_small_n(self, monkeypatch, table_20k):
+        monkeypatch.setattr(legendre, "_LANE_SWITCH", 0)
+        for n in range(4, 3001, 2):
+            assert legendre._wheel(n // 2, DEFAULT_BLOCK) == 30
+            _every_method_matches_oracle(table_20k, n)
 
     def test_marking_methods_at_1e8(self):
         # the published pi(1e8)

@@ -25,7 +25,7 @@ from pairsieve import (
     tilde_composite_pairs,
     tilde_composite_pairs_ie,
 )
-from pairsieve import xi
+from pairsieve import legendre, xi
 from pairsieve.legendre import DEFAULT_BLOCK
 from pairsieve.xi import ResidueBasis, ResidueEntry
 
@@ -198,6 +198,62 @@ class TestOddHalfLayout:
         # n/2 = 3 * 3331: 3 divides n, so the centre is hat
         counts = pair_counts(2 * 3 * 3331, table_20k, (3 * 3331, 3 * 3331))
         assert (counts.hat, counts.tilde, counts.prime_pairs) == (1, 0, 0)
+
+
+class TestWheelLanes:
+    """From ``legendre._LANE_SWITCH`` blocks of odd positions on, the sieve
+    lays them out in the lanes x = 30j + r: 3 and 5 decide whole lanes, as
+    hat or as composite, and the other lanes' survivors are sorted into
+    one array. A small block brings the lanes to small n."""
+
+    @staticmethod
+    def _check(table, n, interval, block):
+        basis = make_residue_basis(n, table, interval)
+        a, b = basis.interval
+        lo, hi = a | 1, ((n // 2 if a + b == n else b) - 1) | 1
+        assert legendre._wheel((hi - lo) // 2 + 1, block) == 30, (n, interval, block)
+        hat, composite, survivors = _literal_sieve(basis)
+        sieved = xi._sieve(basis, with_list=True, block_size=block)
+        assert (*sieved[:2], sieved[2].tolist()) == (hat, composite, survivors)
+        assert sieved[2].dtype == np.int32 and bool(np.all(np.diff(sieved[2]) > 0))
+        assert xi._sieve(basis, block_size=block)[:2] == (hat, composite)
+        assert composite - hat == tilde_composite_pairs_ie(basis)
+
+    # every even n mod 30: 3 and 5 each dividing n or not, and m = n mod p
+    # in each class of the two that do not; n/2 odd at n = 2 (mod 4)
+    @pytest.mark.parametrize("n", range(3000, 3030, 2))
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_every_even_residue_mod_30(self, table_20k, n, block):
+        h = n // 2
+        # the default interval and symmetric ones about an odd or an even
+        # centre, then intervals whose ends lie in different lanes
+        for interval in (None, (1, n - 1), (h - 300, h + 300), (101, n - 101),
+                         (1, 1000), (7, 2011), (h + 2, n - 16), (1003, 1200)):
+            self._check(table_20k, n, interval, block)
+
+    @given(n=st.integers(100, 5000).map(lambda k: 2 * k), data=st.data())
+    def test_matches_literal_marking_on_any_interval(self, table_20k, n, data):
+        a = data.draw(st.integers(1, n // 2 - 40), label="a")
+        b = data.draw(st.integers(a + 80, n - 1), label="b")
+        block = data.draw(st.integers(1, 12), label="block")
+        for interval in ((a, n - a), (a, b)):
+            self._check(table_20k, n, interval, block)
+
+    def test_default_block_takes_the_lanes_above_the_switch(self, table_20k):
+        # n = 2q and n = 30030m, just above the switch at the default block
+        for n in (2 * 3_200_003, 30030 * 211):
+            basis = make_residue_basis(n, table_20k)
+            positions = (n // 2 - 1 | 1) - (basis.a | 1)
+            assert legendre._wheel(positions // 2 + 1, DEFAULT_BLOCK) == 30
+            counts, pairs = pair_counts_and_array(n, table_20k)
+            assert pairs.dtype == np.int32 and bool(np.all(np.diff(pairs) > 0))
+            assert counts.prime_pairs == pairs.size
+            sample = pairs[:: max(1, pairs.size // 200)].tolist()
+            assert all(is_prime_trial(x) and is_prime_trial(n - x) for x in sample)
+            small = xi._sieve(basis, with_list=True, block_size=1 << 24)
+            assert legendre._wheel(positions // 2 + 1, 1 << 24) == 2
+            assert (counts.hat, counts.composite_pairs) == small[:2]
+            assert small[2].tolist() == pairs.tolist()
 
 
 class TestHatTilde:
@@ -534,6 +590,8 @@ class TestIterPairCounts:
         def no_pool(*args):
             raise AssertionError("a one-span scan started a process pool")
         monkeypatch.setattr(xi.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(xi.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert xi._pool_size(2) == 2
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         assert len(xi._spans(10000, 20000, 2)) == 1
         assert list(scan_bounds(10000, 20000, 2, workers=2)) == list(scan_bounds(10000, 20000))
@@ -573,7 +631,15 @@ class TestIterPairCounts:
         assert back == record and back.bound == bound_value(1000)
 
     def test_pool_size_clamped_to_cpu_count(self, monkeypatch):
+        # the CPUs this process may run on: under taskset -c 0 on a 2-CPU
+        # machine, one, though cpu_count() says 2
         monkeypatch.setattr(xi.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(xi.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert [xi._pool_size(k) for k in (1, 2, 8)] == [1, 1, 1]
+        monkeypatch.setattr(xi.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert [xi._pool_size(k) for k in (1, 2, 8, 10**6)] == [1, 2, 2, 2]
+        # where the platform has no affinity set, the CPU count
+        monkeypatch.delattr(xi.os, "sched_getaffinity", raising=False)
         assert [xi._pool_size(k) for k in (1, 2, 8, 10**6)] == [1, 2, 2, 2]
         monkeypatch.setattr(xi.os, "cpu_count", lambda: None)
         assert xi._pool_size(8) == 1
