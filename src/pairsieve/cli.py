@@ -102,6 +102,13 @@ def _write_ints(out: IO[str], values: np.ndarray, sep: str) -> None:
         out.write((text if j < values.size else text[:-len(sep)]).decode("ascii"))
 
 
+#: Largest n that ``--oracle-check`` takes. Its Eratosthenes table holds a
+#: flag per integer up to n and the int64 primes, 1.45 bytes per integer
+#: (195 MB at 2^27, 1.4 GB at 1e9), and building it peaks near 1.9. A
+#: larger n is a usage error, found before any work.
+_ORACLE_MAX_N = 1 << 27
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pairsieve",
@@ -115,14 +122,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=legendre.PRIME_METHODS, default="legendre")
     p.add_argument("--oracle-check", action="store_true")
     p.add_argument("--emit", **_EMIT)
-    p.set_defaults(func=cmd_primecount)
+    p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("composites", help="count composites <= N")
     p.add_argument("n", type=int)
     p.add_argument("--method", choices=legendre.COMPOSITE_METHODS, default="legendre")
     p.add_argument("--oracle-check", action="store_true")
     p.add_argument("--emit", **_EMIT)
-    p.set_defaults(func=cmd_composites)
+    p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("goldbach", help="interval prime-pair counts for even N")
     p.add_argument("n", type=int)
@@ -161,7 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _emit_count(args: argparse.Namespace, out: IO[str], count: int) -> None:
+def cmd_count(args: argparse.Namespace, out: IO[str]) -> int:
+    """``primecount`` and ``composites``: the count by ``--method``, and
+    with ``--oracle-check`` the same count off the oracle's table."""
+    primes = args.command == "primecount"
+    count = (legendre.prime_count if primes else legendre.composite_count)(args.n, args.method)
     if args.emit == "human":
         print(count, file=out)
     elif args.emit == "csv":
@@ -169,25 +180,9 @@ def _emit_count(args: argparse.Namespace, out: IO[str], count: int) -> None:
         print(f"{args.n},{args.method},{count}", file=out)
     else:
         print(json.dumps({"n": args.n, "method": args.method, "count": count}), file=out)
-
-
-def cmd_primecount(args: argparse.Namespace, out: IO[str]) -> int:
-    count = legendre.prime_count(args.n, args.method)
-    _emit_count(args, out, count)
     if args.oracle_check:
-        expected = oracle.pi_oracle(oracle.build_prime_table(args.n), args.n)
-        if count != expected:
-            print(f"oracle mismatch: method {args.method} gave {count}, "
-                  f"sieve oracle gives {expected}", file=sys.stderr)
-            return 1
-    return 0
-
-
-def cmd_composites(args: argparse.Namespace, out: IO[str]) -> int:
-    count = legendre.composite_count(args.n, args.method)
-    _emit_count(args, out, count)
-    if args.oracle_check:
-        expected = args.n - oracle.pi_oracle(oracle.build_prime_table(args.n), args.n) - 1
+        pi = oracle.pi_oracle(oracle.build_prime_table(args.n), args.n)
+        expected = pi if primes else args.n - pi - 1
         if count != expected:
             print(f"oracle mismatch: method {args.method} gave {count}, "
                   f"oracle gives {expected}", file=sys.stderr)
@@ -325,10 +320,10 @@ def _pair_checks(max_n: int) -> Iterator[Check]:
     the oracles, and the partition: the pair count against the list's
     length, and n against the composites marked from p^2 (``"direct-mark"``)
     plus the primes by Legendre's phi plus 1; only the latter reads phi.
-    On a sample of n: a separate
-    ``prime_pair_list`` call against brute force, and the symmetry x -> n - x.
-    One prime table serves every count and sieve; one
-    ``pair_counts_and_array`` pass per n, its survivors made a list here."""
+    On a sample of n: a separate ``prime_pair_list`` call against brute
+    force, and the symmetry x -> n - x. One prime table serves every count
+    and sieve, and one ``pair_counts_and_array`` pass per n, whose
+    survivors are made a list here."""
     table = oracle.build_prime_table(max_n)
     sample = set(range(8, max_n + 1, 94)) | {8, 16, 100, max_n - max_n % 2}
     for n in range(8, max_n + 1, 2):
@@ -522,6 +517,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     opened = None
     try:
+        if getattr(args, "oracle_check", False) and args.n > _ORACLE_MAX_N:
+            raise ValueError(f"--oracle-check needs n <= {_ORACLE_MAX_N}, got {args.n}")
         opened = _OutFile(args.out) if args.out else None
         return args.func(args, opened or sys.stdout)
     except ValueError as exc:

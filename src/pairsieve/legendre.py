@@ -16,15 +16,15 @@ than one of them does. The independent checks of a count are phi
 
 The marking methods run on the package's one residue-class marking
 kernel, which ``xi``'s double sieve shares, in the same layout: the
-lanes x = wj + r of a wheel w, index j in a lane. Below
-``_LANE_SWITCH`` blocks of odd x the wheel is 2, whose one lane is the
-odd x; from there it is 30, and the lanes that 3 and 5 decide are
-counted, not marked. The x that share a factor with the wheel are
-counted in closed form. In the odd layout a block starts as the odd
-half of the wheel, tiled if need be: the marks of 3, 5, 7, 11 and 13
-over one period of 30030 integers, 15015 odd indices; one line takes
-off the wheel primes that the basis leaves unmarked. The whole wheel is
-a read-only module constant that phi(x, a) starts from too.
+lanes x = wj + r of a wheel w. Below ``_LANE_SWITCH`` blocks of odd x
+the wheel is 2, whose one lane is the odd x = 2i + 1, each prime's
+first i written by its caller; from there it is 30, the first j coming
+from ``_lane_marks``, and the lanes that 3 and 5 decide are counted,
+not marked, as are the x that share a factor with the wheel. In the
+odd layout a block starts as the odd half of the wheel, tiled if need
+be: the marks of 3, 5, 7, 11 and 13 over one period of 30030 integers;
+one line takes off the wheel primes that the basis leaves unmarked.
+The wheel is a read-only module constant that phi(x, a) starts from too.
 
 All of them are validated against the oracle module in the test suite.
 """
@@ -136,12 +136,10 @@ def _wheel(positions: int, block_size: int) -> int:
 _INVERSES_30 = tuple(pow(v, -1, 30) if math.gcd(v, 30) == 1 else 0 for v in range(30))
 
 
-def _lane_marks(wheel: int, r: int, starts: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The kernel's marks in the lane x = wheel*j + r: for each (p, x0) of
+def _lane_marks(r: int, starts: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The kernel's marks in the lane x = 30j + r: for each (p, x0) of
     ``starts``, p and the j of the first x >= x0 with x = x0 (mod p),
-    x = x0 + p((r - x0)p^-1 mod wheel); for the wheel 2, x0 or x0 + p."""
-    if wheel == 2:  # the same x in fewer steps, for the many small sieves
-        return [(p, (x0 + p * (1 - x0 % 2)) // 2) for p, x0 in starts]
+    x = x0 + p((r - x0)p^-1 mod 30)."""
     return [(p, (x0 + p * ((r - x0) * _INVERSES_30[p % 30] % 30) - r) // 30)
             for p, x0 in starts]
 
@@ -225,19 +223,18 @@ def _marked_count(n: int, primes: tuple[int, ...], from_squares: bool = False) -
     """Number of x in [1, n] that the basis ``primes`` of n mark.
 
     Each prime p marks its multiples; with ``from_squares`` it marks them
-    from p*p on, which leaves exactly the composites <= n. The kernel
-    marks the lanes x = wj + r with r prime to the wheel w (``_wheel``),
-    each prime from its first multiple x >= p, or x >= p*p, in the lane:
-    the odd x for w = 2, the 8 lanes prime to 30 from ``_LANE_SWITCH``
-    blocks of odd x on. The x sharing a factor with w are the n less the
-    lanes' sizes: n//2, or n//2 + n//3 + n//5 - n//6 - n//10 - n//15 +
-    n//30. For w = 2 each block starts as the odd-wheel marks, tiled when
-    n spans more than one period, and only the primes above 13 mark; the
-    lanes of 30 start unmarked, and the primes above 5 mark. The wheel
-    marks each of its primes q <= n, which the basis leaves unmarked when
-    q > sqrt(n) or with ``from_squares``: those q are taken off. No other
-    x is marked by the wheel alone: a multiple kq <= n, k > 1, of a
-    q > sqrt(n) has k < sqrt(n), so a basis prime divides it.
+    from x0 = p*p on, which leaves exactly the composites <= n, else from
+    x0 = p. The kernel marks the lanes x = wj + r prime to the wheel w
+    (``_wheel``), and the x sharing a factor with w are n less the lanes'
+    sizes. For w = 2 the one lane is the odd x: each block starts as the
+    odd-wheel marks, tiled when n spans more than one period, and each
+    prime above 13 marks from index x0 // 2, x0 being odd. For w = 30 the
+    8 lanes start unmarked, and each prime above 5 marks from the j that
+    ``_lane_marks`` gives. The wheel marks each of its primes q <= n,
+    which the basis leaves unmarked when q > sqrt(n) or with
+    ``from_squares``: those q are taken off. No other x is marked by the
+    wheel alone: a multiple kq <= n, k > 1, of a q > sqrt(n) has
+    k < sqrt(n), so a basis prime divides it.
     """
     wheel = _wheel(n // 2, DEFAULT_BLOCK)
     if wheel == 2:  # each block starts as the odd-wheel marks of 3 to 13
@@ -245,20 +242,18 @@ def _marked_count(n: int, primes: tuple[int, ...], from_squares: bool = False) -
         periods = min(n // _PERIOD + 1, DEFAULT_BLOCK // _ODD_WHEEL_MARKS.size)
         blank = _ODD_WHEEL_MARKS if periods == 1 else np.tile(_ODD_WHEEL_MARKS, periods)
         block_size = blank.size
+        lanes = [(1, [(p, (p * p if from_squares else p) // 2) for p in primes[len(presieved):]])]
     else:  # the lanes prime to 30 start unmarked
         presieved, blank, block_size = _WHEEL_PRIMES[:3], None, DEFAULT_BLOCK
-    marking = primes[len(presieved):]
-    starts = [p * p for p in marking] if from_squares else marking  # x marked from
+        starts = [(p, p * p if from_squares else p) for p in primes[len(presieved):]]
+        lanes = ((r, _lane_marks(r, starts)) for r in (1, 7, 11, 13, 17, 19, 23, 29))
     unmarked = 0
-    for r in range(1, wheel, 2):
-        if math.gcd(r, wheel) > 1:
-            continue
-        marks = _lane_marks(wheel, r, zip(marking, starts))
+    for r, marks in lanes:
         for _, block, (count,) in _mark_blocks(0, (n - r) // wheel, (marks,), block_size, blank):
             unmarked += block.size - count
         block = None  # the lane's buffer goes before the next lane makes its own
-    r = math.isqrt(n)
-    return n - unmarked - sum(1 for q in presieved if q <= n and (from_squares or q > r))
+    r = 0 if from_squares else math.isqrt(n)  # the basis marks the wheel primes <= r
+    return n - unmarked - bisect_right(presieved, n) + bisect_right(presieved, r)
 
 
 def _basis_for(n: int, table: PrimeTable | None) -> tuple[int, ...]:

@@ -13,16 +13,16 @@ are disjoint by construction, so hat + tilde + survivors partitions the
 interval. p = 2 divides n, so every even x is hat, counted in closed
 form; the sieve marks the odd x alone, in two passes of ``legendre``'s
 residue-class marking kernel: class 0 of the odd dividing primes,
-counted as hat, then both classes of the others. It lays them out in
-the lanes x = wj + r of a wheel w: the one lane of odd x, or, over a
-long interval, the 15 odd lanes of 30, of which 3 and 5 decide whole
-lanes as hat or as composite. Each position read forward and backward
-sums to n, as x + (n - x) = n, so all three sets are symmetric under
-x -> n - x: on a symmetric interval, the default one included, only
-[a, n/2] is marked and every count doubled, less the centre n/2 when it
-is odd. That centre is hat if an odd basis prime divides n, never
-tilde, and a survivor otherwise. A scan's record for each n compares its survivor
-count with the analytic lower bound (n - 4*sqrt(n)) / ln^2(n - sqrt(n)).
+counted as hat, then both classes of the others. It lays them out in the
+lanes x = wj + r of a wheel w: the one lane of odd x, or, over a long
+interval, the 15 odd lanes of 30, of which 3 and 5 decide whole lanes as
+hat or as composite. Each position read forward and backward sums to n,
+as x + (n - x) = n, so all three sets are symmetric under x -> n - x: on
+a symmetric interval, the default one included, only [a, n/2] is marked
+and every count doubled, less the centre n/2 when it is odd. That centre
+is hat if an odd basis prime divides n, never tilde, and a survivor
+otherwise. A scan's record for each n compares its survivor count with
+the analytic lower bound (n - 4*sqrt(n)) / ln^2(n - sqrt(n)).
 
 Over the default interval the survivors are exactly the prime pairs, so
 a scan over many n reads their counts off one shared prime bitmap (an
@@ -217,13 +217,15 @@ def _sieve(
     interval: int32 for n < 2^31, else int64.
 
     The even x are all hat, by p = 2, and are counted in closed form; the
-    kernel marks the odd x, laid out in the lanes x = wj + r of the wheel
-    w (``legendre._wheel``): one lane for w = 2, the 15 odd r for w = 30.
-    There 3 and 5 decide whole lanes. A lane r = 0 (mod p) of a p | n is
-    all hat, counted in closed form; one in class 0 or m of a p not
-    dividing n is all composite, and only class 0 of the dividing primes
-    above 5 marks it, for its hat. In every other lane the kernel marks,
-    in two passes, class 0 of the dividing primes, whose count is the
+    kernel marks the odd x in the lanes x = wj + r of the wheel w
+    (``legendre._wheel``). For w = 2, one lane, the loop over the entries
+    writes each class's first index: c of p at x = 2i + 1 from
+    i = (c - 1)(p + 1)/2 mod p. For w = 30, 15 lanes whose first j comes
+    from ``legendre._lane_marks``, 3 and 5 decide whole lanes: a lane
+    r = 0 (mod p) of a p | n is all hat, counted in closed form; one in
+    class 0 or m of a p not dividing n is all composite, and only class 0
+    of the dividing primes above 5 marks it, for its hat. Every other lane
+    takes two passes: class 0 of the dividing primes, whose count is the
     lane's hat, then classes 0 and m of the others, which bring it to
     hat + tilde. The lanes' survivors are sorted into one array.
 
@@ -235,19 +237,25 @@ def _sieve(
     plus the even x is re-derived by inclusion-exclusion; a disagreement
     means a broken sieve and raises.
     """
-    n, (a, b), dividing = basis.n, basis.interval, basis.dividing
+    n, (a, b) = basis.n, basis.interval
     h = n // 2
     symmetric = a + b == n
     lo, hi = a | 1, ((h if symmetric else b) - 1) | 1  # the first and last odd x marked
     wheel = _wheel((hi - lo) // 2 + 1, block_size)
-    # the odd primes that decide whole lanes, and the classes (p, c) the
-    # kernel marks: class 0 of the other dividing primes, then classes 0
-    # and m of the rest
-    decided, hat_classes, other_classes = [], [], []
+    # the primes dividing n, the odd primes that decide whole lanes, and
+    # the kernel's passes as (p, c), or for the wheel 2 as (p, first i)
+    dividing, decided, hat_classes, other_classes = [], [], [], []
     for p, m in basis.entries:
+        if not m:
+            dividing.append(p)
         if wheel % p == 0:
             if p > 2:
                 decided.append((p, m))
+        elif wheel == 2:
+            if m:
+                other_classes += (p, p // 2), (p, (m - 1) * (p + 1) // 2 % p)
+            else:
+                hat_classes.append((p, p // 2))
         elif m:
             other_classes += (p, 0), (p, m)
         else:
@@ -263,13 +271,13 @@ def _sieve(
             hat += size
             composite += size
             continue
-        passes = [_lane_marks(wheel, r, hat_classes)]
+        passes = [hat_classes if wheel == 2 else _lane_marks(r, hat_classes)]
         if decided and any(r % p in (0, m) for p, m in decided):
             composite += size
             if hat_classes:
                 hat += sum(counts[0] for _, _, counts in _mark_blocks(j0, j1, passes, block_size))
             continue
-        passes.append(_lane_marks(wheel, r, other_classes))
+        passes.append(other_classes if wheel == 2 else _lane_marks(r, other_classes))
         for start, marked, counts in _mark_blocks(j0, j1, passes, block_size):
             hat += counts[0]
             composite += counts[-1]

@@ -534,6 +534,31 @@ class TestExitCodes:
         assert err.startswith("error: bitmap counts") and "n=1050" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["primecount", "composites"])
+    def test_count_oracle_mismatch_exits_1(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(oracle, "pi_oracle", lambda table, n: 0)
+        code, out, err = run(capsys, command, "100", "--oracle-check")
+        assert code == 1 and out == ("25\n" if command == "primecount" else "74\n")
+        assert err.startswith("oracle mismatch: method legendre gave")
+
+    # an --oracle-check past the table budget is refused before any work;
+    # at the budget itself the command goes on to build its table
+    @pytest.mark.parametrize("command", ["primecount", "composites", "goldbach"])
+    def test_oracle_check_past_the_budget_exits_2_first(self, capsys, monkeypatch, command):
+        class TableBuilt(Exception):
+            pass
+
+        def no_table(*args):
+            raise TableBuilt
+        monkeypatch.setattr(oracle, "build_prime_table", no_table)
+        monkeypatch.setattr(legendre, "build_prime_table", no_table)
+        for n in (cli._ORACLE_MAX_N + 2, 10**9):
+            code, out, err = run(capsys, command, str(n), "--oracle-check")
+            assert code == 2 and out == ""
+            assert err == f"error: --oracle-check needs n <= {cli._ORACLE_MAX_N}, got {n}\n"
+        with pytest.raises(TableBuilt):
+            main([command, str(cli._ORACLE_MAX_N), "--oracle-check"])
+
     def test_memory_error_exits_2(self, capsys, monkeypatch):
         def out_of_memory(*args, **kwargs):
             raise MemoryError

@@ -342,6 +342,19 @@ class TestMarkingKernel:
         assert starts == list(range(lo, hi + 1, block_size))
         assert np.array_equal(np.concatenate(blocks), final)
 
+    # the first j of each prime's marks in a lane x = 30j + r, against the
+    # first x >= x0 in the class of x0 mod p and in the lane, found by steps
+    def test_lane_marks_match_the_first_x_in_the_lane(self):
+        primes = [p for p in range(7, 98) if all(p % q for q in range(2, p))]
+        for r in (1, 7, 11, 13, 17, 19, 23, 29):
+            for p in primes:
+                starts = [(p, x0) for x0 in [*range(0, 3 * p + 30), p * p, 2**31 + p]]
+                for (q, j), (_, x0) in zip(legendre._lane_marks(r, starts), starts):
+                    x = x0
+                    while x % 30 != r:
+                        x += p
+                    assert (q, 30 * j + r) == (p, x), (r, p, x0)
+
     def test_empty_range_yields_no_block(self):
         assert list(legendre._mark_blocks(5, 4, [[(3, 0)]], 2)) == []
         with pytest.raises(ValueError):

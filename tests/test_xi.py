@@ -200,6 +200,32 @@ class TestOddHalfLayout:
         assert (counts.hat, counts.tilde, counts.prime_pairs) == (1, 0, 0)
 
 
+class TestOddLayoutAcrossABlockEdge:
+    """Below the lane switch the one lane of odd x takes its first indices
+    from the residue basis; between one and 1.5 blocks of odd positions the
+    second block starts inside each class, not at its first member."""
+
+    # n/2 prime (the centre survives), n = 30030 and n/2 = 3 * 3331 (the
+    # centre is hat); the default interval and an asymmetric one
+    @pytest.mark.parametrize("n", [2 * 4999, 30030, 2 * 3 * 3331])
+    @pytest.mark.parametrize("asymmetric", [False, True])
+    def test_matches_literal_marking_and_the_lanes(self, table_20k, n, asymmetric):
+        basis = make_residue_basis(n, table_20k, (101, n // 2 + 777) if asymmetric else None)
+        a, b = basis.interval
+        lo, hi = a | 1, ((n // 2 if a + b == n else b) - 1) | 1
+        positions = (hi - lo) // 2 + 1
+        block = positions * 3 // 4
+        assert block < positions < 1.5 * block
+        assert legendre._wheel(positions, block) == 2
+        hat, composite, survivors = _literal_sieve(basis)
+        sieved = xi._sieve(basis, with_list=True, block_size=block)
+        assert (*sieved[:2], sieved[2].tolist()) == (hat, composite, survivors)
+        assert sieved[2].dtype == np.int32 and bool(np.all(np.diff(sieved[2]) > 0))
+        assert legendre._wheel(positions, 7) == 30
+        lanes = xi._sieve(basis, with_list=True, block_size=7)
+        assert (*lanes[:2], lanes[2].tolist()) == (hat, composite, survivors)
+
+
 class TestWheelLanes:
     """From ``legendre._LANE_SWITCH`` blocks of odd positions on, the sieve
     lays them out in the lanes x = 30j + r: 3 and 5 decide whole lanes, as
