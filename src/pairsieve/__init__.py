@@ -34,7 +34,6 @@ from .legendre import (
 from .xi import (
     PairCounts,
     ResidueBasis,
-    ResidueEntry,
     ScanSummary,
     bound_value,
     default_interval,

@@ -321,9 +321,11 @@ def _pair_checks(max_n: int) -> Iterator[Check]:
     length, and n against the composites marked from p^2 (``"direct-mark"``)
     plus the primes by Legendre's phi plus 1; only the latter reads phi.
     On a sample of n: a separate ``prime_pair_list`` call against brute
-    force, and the symmetry x -> n - x. One prime table serves every count
-    and sieve, and one ``pair_counts_and_array`` pass per n, whose
-    survivors are made a list here."""
+    force, and the symmetry x -> n - x, for each prime p of n's basis
+    (``legendre.make_basis``) on class 0 against class n % p, then on the
+    pair list. One prime table serves every count and sieve, and one
+    ``pair_counts_and_array`` pass per n, whose survivors are made a list
+    here."""
     table = oracle.build_prime_table(max_n)
     sample = set(range(8, max_n + 1, 94)) | {8, 16, 100, max_n - max_n % 2}
     for n in range(8, max_n + 1, 2):
@@ -352,8 +354,9 @@ def _pair_checks(max_n: int) -> Iterator[Check]:
         yield _one("oracle-equivalence", (
             None if xi.prime_pair_list(n, table) == brute
             else f"prime_pair_list({n}) disagrees with brute force"))
-        for p, m in xi.make_residue_basis(n, table).entries:
+        for p in legendre.make_basis(n, table):
             # class m of [1, n - 1] is the multiples of p in [1 + p - m, n - 1 + p - m]
+            m = n % p
             fwd = legendre.count_multiples(1, n - 1, p)
             bwd = legendre.count_multiples(1 + p - m, n - 1 + p - m, p)
             yield _one("symmetry", (

@@ -6,13 +6,15 @@ count:
 * ``"legendre"``  -- the signed floor sum over squarefree products of
   the basis primes, evaluated as Legendre's phi(x, a) recursion;
 * ``"theta-sum"`` -- count integers hit by at least one basis prime
-  (residue-class marking), then correct by the basis size;
-* ``"direct-mark"`` / ``"survivor"`` -- classical marking sieves.
+  (residue-class marking from p), then correct by the basis size;
+* ``"direct-mark"`` / ``"survivor"`` -- the classical sieve: each basis
+  prime marks from p^2, which leaves exactly the composites, and
+  ``"survivor"`` reads the primes as what stays unmarked.
 
-``"theta-sum"`` and ``"survivor"`` read one marked count and close with
-one formula, n - 1 - divisible + l, so their agreement checks no more
-than one of them does. The independent checks of a count are phi
-(``"legendre"``), the composites marked from p^2 and the oracle module.
+So each count has three computations that check one another: phi
+(``"legendre"``), the marks from p (``"theta-sum"``) and the marks from
+p^2 (``"direct-mark"`` and ``"survivor"``); the oracle module is the
+fourth.
 
 The marking methods run on the package's one residue-class marking
 kernel, which ``xi``'s double sieve shares, in the same layout: the
@@ -282,10 +284,12 @@ def prime_count(n: int, method: str = "legendre", table: PrimeTable | None = Non
     """Number of primes <= n for even n >= 4.
 
     With l the basis size, ``"legendre"`` is phi(n, l) + l - 1 (phi
-    counts 1 and the primes above sqrt(n)); ``"theta-sum"`` and
-    ``"survivor"`` are n - 1 - divisible + l, from the x in [1, n] that
-    some basis prime divides. ``table`` must cover floor(sqrt(n));
-    without one, a table is built for this call.
+    counts 1 and the primes above sqrt(n)); ``"theta-sum"`` is
+    n - 1 - divisible + l, from the x in [1, n] that some basis prime
+    divides; ``"survivor"`` is n - 1 - composites, from the x that some
+    basis prime marks from its square, as ``"direct-mark"`` marks them.
+    ``table`` must cover floor(sqrt(n)); without one, a table is built
+    for this call.
     """
     _require_even(n)
     if method not in PRIME_METHODS:
@@ -293,4 +297,6 @@ def prime_count(n: int, method: str = "legendre", table: PrimeTable | None = Non
     primes = _basis_for(n, table)
     if method == "legendre":
         return _phi(n, len(primes), primes) + len(primes) - 1
+    if method == "survivor":
+        return n - 1 - _marked_count(n, primes, from_squares=True)
     return n - 1 - _marked_count(n, primes) + len(primes)

@@ -3,9 +3,11 @@
 An even n splits every x in [1, n-1] into the pair (x, n-x). Writing
 m_p = n mod p for each prime p <= sqrt(n), the pair is free of small
 factors exactly when x avoids the two residue classes {0, m_p} modulo
-every such p — class 0 guards x itself, class m_p guards n - x. The
-double sieve marks both classes per prime over an interval; survivors
-are precisely the x with x and n - x both prime.
+every such p — class 0 guards x itself, class m_p guards n - x. A
+residue basis is n, an interval and those primes; m_p is n % p, which
+each reader takes in its own loop over them. The double sieve marks
+both classes per prime over an interval; survivors are precisely the x
+with x and n - x both prime.
 
 Positions knocked out by a prime dividing n are counted as ``hat``,
 positions knocked out only by non-dividing primes as ``tilde``; the two
@@ -37,7 +39,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -45,7 +47,6 @@ from .legendre import DEFAULT_BLOCK, _lane_marks, _mark_blocks, _require_even, _
 from .oracle import PrimeTable, build_prime_table, primes_upto
 
 __all__ = [
-    "ResidueEntry",
     "ResidueBasis",
     "PairCounts",
     "ScanSummary",
@@ -61,14 +62,11 @@ __all__ = [
     "iter_pair_counts",
 ]
 
-class ResidueEntry(NamedTuple):
-    p: int
-    m: int
-
-
 @dataclass(frozen=True)
 class ResidueBasis:
-    """Sieving data for one even n: primes <= sqrt(n) with n's residues.
+    """Sieving data for one even n: an interval and the basis of n, the
+    primes <= sqrt(n) of ``legendre.make_basis``. Each prime p guards the
+    classes {0, n mod p}, and each reader takes n % p in its own loop.
 
     ``interval`` defaults to the inclusive [ceil(sqrt(n)), n - ceil(sqrt(n))]
     but may be overridden.
@@ -76,31 +74,12 @@ class ResidueBasis:
 
     n: int
     interval: tuple[int, int]
-    entries: tuple[ResidueEntry, ...]
+    primes: tuple[int, ...]
 
     def __post_init__(self) -> None:
         a, b = self.interval
         if not 1 <= a <= b <= self.n - 1:
             raise ValueError(f"interval must satisfy 1 <= a <= b <= {self.n - 1}, got [{a}, {b}]")
-        for p, m in self.entries:
-            if not 0 <= m < p:
-                raise ValueError(f"residue {m} out of range for modulus {p}")
-
-    @property
-    def a(self) -> int:
-        return self.interval[0]
-
-    @property
-    def b(self) -> int:
-        return self.interval[1]
-
-    @property
-    def length(self) -> int:
-        return self.b - self.a + 1
-
-    @property
-    def dividing(self) -> tuple[int, ...]:
-        return tuple(p for p, m in self.entries if m == 0)
 
 
 @dataclass(frozen=True)
@@ -174,7 +153,7 @@ def _require_pair_n(n: int) -> None:
 def make_residue_basis(
     n: int, table: PrimeTable, interval: tuple[int, int] | None = None
 ) -> ResidueBasis:
-    """Residue basis for an even n >= 8: one entry per prime <= sqrt(n).
+    """Residue basis for an even n >= 8: its interval and its primes <= sqrt(n).
 
     Parameters
     ----------
@@ -186,8 +165,8 @@ def make_residue_basis(
         Inclusive override; defaults to ``default_interval(n)``.
     """
     _require_pair_n(n)
-    entries = tuple([ResidueEntry(p, n % p) for p in make_basis(n, table)])
-    return ResidueBasis(n=n, interval=interval or default_interval(n), entries=entries)
+    return ResidueBasis(n=n, interval=interval or default_interval(n),
+                        primes=make_basis(n, table))
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +197,18 @@ def _sieve(
 
     The even x are all hat, by p = 2, and are counted in closed form; the
     kernel marks the odd x in the lanes x = wj + r of the wheel w
-    (``legendre._wheel``). For w = 2, one lane, the loop over the entries
-    writes each class's first index: c of p at x = 2i + 1 from
-    i = (c - 1)(p + 1)/2 mod p. For w = 30, 15 lanes whose first j comes
-    from ``legendre._lane_marks``, 3 and 5 decide whole lanes: a lane
-    r = 0 (mod p) of a p | n is all hat, counted in closed form; one in
-    class 0 or m of a p not dividing n is all composite, and only class 0
-    of the dividing primes above 5 marks it, for its hat. Every other lane
-    takes two passes: class 0 of the dividing primes, whose count is the
-    lane's hat, then classes 0 and m of the others, which bring it to
-    hat + tilde. The lanes' survivors are sorted into one array.
+    (``legendre._wheel``). One loop over the basis primes takes m = n % p,
+    collects the primes dividing n and builds the kernel's passes; for
+    w = 2, one lane, it writes each class's first index: c of p at
+    x = 2i + 1 from i = (c - 1)(p + 1)/2 mod p. For w = 30, 15 lanes
+    whose first j comes from ``legendre._lane_marks``, 3 and 5 decide
+    whole lanes: a lane r = 0 (mod p) of a p | n is all hat, counted in
+    closed form; one in class 0 or m of a p not dividing n is all
+    composite, and only class 0 of the dividing primes above 5 marks it,
+    for its hat. Every other lane takes two passes: class 0 of the
+    dividing primes, whose count is the lane's hat, then classes 0 and m
+    of the others, which bring it to hat + tilde. The lanes' survivors
+    are sorted into one array.
 
     The sets are symmetric under x -> n - x, so on a symmetric interval
     (a + b = n) only [a, n/2] is marked and each count doubled, less the
@@ -245,7 +226,8 @@ def _sieve(
     # the primes dividing n, the odd primes that decide whole lanes, and
     # the kernel's passes as (p, c), or for the wheel 2 as (p, first i)
     dividing, decided, hat_classes, other_classes = [], [], [], []
-    for p, m in basis.entries:
+    for p in basis.primes:
+        m = n % p
         if not m:
             dividing.append(p)
         if wheel % p == 0:
@@ -316,8 +298,9 @@ def _sieve(
 
 
 def _partition(basis: ResidueBasis, hat: int, composite: int) -> PairCounts:
+    a, b = basis.interval
     return PairCounts(n=basis.n, interval=basis.interval, hat=hat, tilde=composite - hat,
-                      prime_pairs=basis.length - composite)
+                      prime_pairs=b - a + 1 - composite)
 
 
 def tilde_composite_pairs(basis: ResidueBasis) -> int:
@@ -346,9 +329,9 @@ def _inverse_table(p: int) -> np.ndarray:
     return inverse
 
 
-def _union_count(entries: Sequence[ResidueEntry], a: int, b: int) -> int:
-    """Exact count of x in [a, b] lying in at least one class {0, m} of
-    the given (p, m); a prime with m = 0 has the one class 0.
+def _union_count(n: int, primes: Sequence[int], a: int, b: int) -> int:
+    """Exact count of x in [a, b] lying in at least one class {0, n mod p}
+    of the given primes p; a prime dividing n has the one class 0.
 
     Signed sum over class systems, taken as one tree: the root is the
     empty system, and each prime, largest first (a basis lists them
@@ -362,7 +345,8 @@ def _union_count(entries: Sequence[ResidueEntry], a: int, b: int) -> int:
     residues = np.zeros(1, dtype=np.int64)
     signs = np.array([-1], dtype=np.int64)  # root: empty selection
     total = 0
-    for p, m in reversed(entries):
+    for p in reversed(primes):
+        m = n % p
         ext_m = mods * p
         inv_cur = _inverse_table(p)[mods % p]
         keep_m, keep_r, keep_s = [mods], [residues], [signs]
@@ -387,9 +371,9 @@ def tilde_composite_pairs_ie(basis: ResidueBasis) -> int:
     """The tilde count by exact inclusion-exclusion instead of marking.
 
     One signed class tree over every basis prime counts the union of
-    the classes {0, m} (``_union_count``), hat + tilde, since a dividing
-    prime's two classes are the one class 0; hat, from the signed
-    products of the dividing primes, is taken off. Agrees with
+    the classes {0, n mod p} (``_union_count``), hat + tilde, since a
+    dividing prime's two classes are the one class 0; hat, from the
+    signed products of the dividing primes, is taken off. Agrees with
     ``tilde_composite_pairs`` identically, independent of the marking.
 
     The domain is n < 2^26, for a basis of ``make_residue_basis``, and
@@ -398,11 +382,12 @@ def tilde_composite_pairs_ie(basis: ResidueBasis) -> int:
     dividing x0 (n - x0), at most n^2 / 4, and a child multiplies it by
     some p <= sqrt(n), which stays below 2^63 while n < 2^26.
     """
-    if basis.n >= 1 << 26:
-        raise ValueError(f"tilde inclusion-exclusion needs n < 2^26, got {basis.n}")
-    a, b = basis.interval
-    hat = _hat_inclusion_exclusion(_signed_divisors(basis.dividing, b), a, b)
-    return _union_count(basis.entries, a, b) - hat
+    n, (a, b) = basis.n, basis.interval
+    if n >= 1 << 26:
+        raise ValueError(f"tilde inclusion-exclusion needs n < 2^26, got {n}")
+    dividing = [p for p in basis.primes if n % p == 0]
+    hat = _hat_inclusion_exclusion(_signed_divisors(dividing, b), a, b)
+    return _union_count(n, basis.primes, a, b) - hat
 
 
 # ---------------------------------------------------------------------------

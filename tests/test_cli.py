@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -417,25 +416,22 @@ class TestSelftest:
         code, out, err = run(capsys, "selftest", "--max-n", "100", "--epsilon", "1e-2")
         assert code == 2 and out == "" and "epsilon" in err
 
-    @staticmethod
-    def _shifted_basis(shift):
-        def make(n, table, interval=None):
-            basis = xi.make_residue_basis(n, table, interval)
-            entries = tuple(e._replace(m=e.m + shift) if e.m and 0 < e.m + shift < e.p else e
-                            for e in basis.entries)
-            return dataclasses.replace(basis, entries=entries)
-        return make
-
-    def test_symmetry_reads_the_basis_residues(self, capsys, monkeypatch):
-        # the residue basis the selftest sees is off by one, down or up, in
-        # every nonzero class that stays in [1, p - 1]; the sieve itself keeps
-        # the true basis, so only the symmetry suite's checks can notice
-        for shift in (-1, 1):
-            monkeypatch.setattr(cli, "xi", types.SimpleNamespace(
-                **{**vars(xi), "make_residue_basis": self._shifted_basis(shift)}))
-            code, out, _ = run(capsys, "selftest", "--max-n", "100")
-            assert code == 1, shift
+    def test_symmetry_fails_on_a_broken_class_count(self, capsys, monkeypatch):
+        # the symmetry suite reads class n % p of each basis prime p through
+        # theta_sin_shift and count_multiples; each broken alone, shifted one
+        # class up or with the interval's lower end read as open, which only
+        # n % p = 1 shows, fails it, while no count or sieve reads them
+        shift = cli.theta_sin_shift
+        broken = [(cli, "theta_sin_shift",
+                   lambda x, m, d, mode=EXACT: shift(x, (m + 1) % d, d, mode)),
+                  (legendre, "count_multiples", lambda a, b, d: b // d - a // d)]
+        for module, name, wrong in broken:
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, wrong)
+                code, out, _ = run(capsys, "selftest", "--max-n", "100")
+            assert code == 1, name
             assert re.search(r"^oracle-equivalence: \d+ checks, 0 failures \[ok\]$", out, re.M)
+            assert re.search(r"^partition: \d+ checks, 0 failures \[ok\]$", out, re.M)
             assert re.search(r"^symmetry: \d+ checks, [1-9]\d* failures \[FAIL\]$", out, re.M)
 
 

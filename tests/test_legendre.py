@@ -250,6 +250,19 @@ class TestEdges:
             assert prime_count(10**8, method) == 5_761_455, method
         assert composite_count(10**8, "direct-mark") == 10**8 - 5_761_455 - 1
 
+    def test_survivor_is_its_own_count(self, monkeypatch, table_20k):
+        # with the count marked from p one too high, theta-sum is one too
+        # low; survivor reads the composites marked from p^2, as
+        # direct-mark does, so it still equals the oracle
+        marked = legendre._marked_count
+        monkeypatch.setattr(legendre, "_marked_count", lambda n, primes, from_squares=False:
+                            marked(n, primes, from_squares) + (not from_squares))
+        for n in (4, 100, 168, 170, 10_000, 20_000):
+            expected = pi_oracle(table_20k, n)
+            assert prime_count(n, "survivor", table_20k) == expected, n
+            assert prime_count(n, "theta-sum", table_20k) == expected - 1, n
+            assert composite_count(n, "direct-mark", table_20k) == n - 1 - expected, n
+
     def test_short_table_rejected(self, table_2e7):
         short = build_prime_table(100)
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import multiprocessing
@@ -27,7 +28,8 @@ from pairsieve import (
 )
 from pairsieve import legendre, xi
 from pairsieve.legendre import DEFAULT_BLOCK
-from pairsieve.xi import ResidueBasis, ResidueEntry
+from pairsieve.xi import ResidueBasis
+from test_legendre import EDGE_N
 
 GOLDEN_100 = [11, 17, 29, 41, 47, 53, 59, 71, 83, 89]
 
@@ -47,29 +49,52 @@ class TestDefaultInterval:
         assert default_interval(n) == expected
 
 
+def _dividing(basis):
+    """The primes of the basis that divide its n."""
+    return [p for p in basis.primes if basis.n % p == 0]
+
+
 class TestResidueBasis:
+    """A basis holds n, its interval and the primes of
+    ``legendre.make_basis``; each reader takes the residues n % p."""
+
+    def test_fields_are_n_interval_and_primes(self, table_20k):
+        assert [f.name for f in dataclasses.fields(ResidueBasis)] == ["n", "interval", "primes"]
+        assert not hasattr(xi, "ResidueEntry")
+        assert type(make_residue_basis(100, table_20k).primes) is tuple
+
     def test_n_100(self, table_20k):
         basis = make_residue_basis(100, table_20k)
         assert basis.interval == (10, 90)
-        by_p = {e.p: e for e in basis.entries}
-        assert by_p[3] == ResidueEntry(3, 1)
-        assert by_p[7] == ResidueEntry(7, 2)
-        assert by_p[2] == ResidueEntry(2, 0)
-        assert by_p[5] == ResidueEntry(5, 0)
+        assert basis.primes == legendre.make_basis(100, table_20k) == (2, 3, 5, 7)
+        assert [100 % p for p in basis.primes] == [0, 1, 0, 2]
 
     def test_n_1000_spot_residues(self, table_20k):
-        by_p = {e.p: e for e in make_residue_basis(1000, table_20k).entries}
-        assert (by_p[3].m, by_p[7].m, by_p[31].m) == (1, 6, 8)
-        assert by_p[31].m != 0
+        primes = make_residue_basis(1000, table_20k).primes
+        assert primes == legendre.make_basis(1000, table_20k)
+        assert primes[-1] == 31
+        assert [1000 % p for p in (3, 7, 31)] == [1, 6, 8]
 
     def test_n_16(self, table_20k):
         basis = make_residue_basis(16, table_20k)
-        assert basis.entries == (ResidueEntry(2, 0), ResidueEntry(3, 1))
+        assert basis.primes == legendre.make_basis(16, table_20k) == (2, 3)
+        assert basis.interval == (4, 12)
 
     def test_two_always_divides(self, table_20k):
         for n in range(8, 500, 2):
-            entries = make_residue_basis(n, table_20k).entries
-            assert entries[0] == ResidueEntry(2, 0)
+            assert make_residue_basis(n, table_20k).primes[0] == 2
+
+    # every n of 8..64, then the marking kernel's edge cases, whose
+    # smallest two are below the pair sieve's minimum of 8
+    @pytest.mark.parametrize("n", [*range(8, 65, 2), *EDGE_N])
+    def test_primes_are_the_legendre_basis(self, table_20k, n):
+        if n < 8:
+            with pytest.raises(ValueError):
+                make_residue_basis(n, table_20k)
+            return
+        basis = make_residue_basis(n, table_20k)
+        assert (basis.n, basis.interval) == (n, default_interval(n))
+        assert basis.primes == legendre.make_basis(n, table_20k)
 
     def test_rejects_small_or_odd(self, table_20k):
         with pytest.raises(ValueError):
@@ -78,10 +103,9 @@ class TestResidueBasis:
             make_residue_basis(15, table_20k)
 
     def test_inconsistent_entries_rejected(self):
-        with pytest.raises(ValueError):
-            ResidueBasis(n=100, interval=(10, 90), entries=(ResidueEntry(3, 3),))
-        with pytest.raises(ValueError):
-            ResidueBasis(n=100, interval=(90, 10), entries=())
+        for interval in ((90, 10), (0, 50), (10, 100)):
+            with pytest.raises(ValueError):
+                ResidueBasis(n=100, interval=interval, primes=(2, 3, 5, 7))
 
 
 class TestDoubleSieve:
@@ -105,8 +129,9 @@ class TestDoubleSieve:
     def test_survivor_condition_is_residue_avoidance(self, table_20k):
         basis = make_residue_basis(360, table_20k)
         survivors = set(xi._sieve(basis, with_list=True)[2].tolist())
-        for x in range(basis.a, basis.b + 1):
-            expected = all(x % p != 0 and x % p != m for p, m in basis.entries)
+        a, b = basis.interval
+        for x in range(a, b + 1):
+            expected = all(x % p != 0 and x % p != 360 % p for p in basis.primes)
             assert (x in survivors) == expected, x
 
     # n = 30030*m has the seven smallest primes dividing it (hat-heavy),
@@ -134,13 +159,13 @@ class TestDoubleSieve:
 def _literal_sieve(basis):
     """hat, hat + tilde and the survivors of the basis interval, marked
     x by x over the whole interval, even x and both halves included."""
-    xs = np.arange(basis.a, basis.b + 1)
+    xs = np.arange(basis.interval[0], basis.interval[1] + 1)
     hat = np.zeros(xs.size, dtype=bool)
-    for p in basis.dividing:
+    for p in _dividing(basis):
         hat |= xs % p == 0
     marked = hat.copy()
-    for p, m in basis.entries:
-        marked |= (xs % p == 0) | (xs % p == m)
+    for p in basis.primes:
+        marked |= (xs % p == 0) | (xs % p == basis.n % p)
     return int(hat.sum()), int(marked.sum()), xs[~marked].tolist()
 
 
@@ -159,8 +184,8 @@ class TestOddHalfLayout:
         assert (counts.hat, counts.composite_pairs, pairs.tolist()) == (hat, composite, survivors)
         assert xi._sieve(basis)[:2] == (hat, composite)
         # inside (sqrt(n), n - sqrt(n)) the survivors are the prime pairs
-        r = math.isqrt(n)
-        lo, hi = max(basis.a, r + 1), min(basis.b, n - r - 1)
+        r, (a, b) = math.isqrt(n), basis.interval
+        lo, hi = max(a, r + 1), min(b, n - r - 1)
         if lo <= hi:
             assert [x for x in survivors if lo <= x <= hi] == \
                 goldbach_pairs_oracle(table, n, (lo, hi))
@@ -269,7 +294,7 @@ class TestWheelLanes:
         # n = 2q and n = 30030m, just above the switch at the default block
         for n in (2 * 3_200_003, 30030 * 211):
             basis = make_residue_basis(n, table_20k)
-            positions = (n // 2 - 1 | 1) - (basis.a | 1)
+            positions = (n // 2 - 1 | 1) - (basis.interval[0] | 1)
             assert legendre._wheel(positions // 2 + 1, DEFAULT_BLOCK) == 30
             counts, pairs = pair_counts_and_array(n, table_20k)
             assert pairs.dtype == np.int32 and bool(np.all(np.diff(pairs) > 0))
@@ -297,18 +322,19 @@ class TestHatTilde:
     def test_hat_matches_brute(self, table_20k):
         for n in (12, 36, 100, 210, 1024):
             basis = make_residue_basis(n, table_20k)
-            div = basis.dividing
-            brute = sum(1 for x in range(basis.a, basis.b + 1)
-                        if any(x % p == 0 for p in div))
+            div = _dividing(basis)
+            a, b = basis.interval
+            brute = sum(1 for x in range(a, b + 1) if any(x % p == 0 for p in div))
             assert xi._sieve(basis)[0] == brute
 
     def test_tilde_matches_brute(self, table_20k):
         for n in (12, 36, 100, 210, 1024):
             basis = make_residue_basis(n, table_20k)
-            div = basis.dividing
-            nd = [(p, m) for p, m in basis.entries if m]
+            div = _dividing(basis)
+            nd = [(p, n % p) for p in basis.primes if n % p]
+            a, b = basis.interval
             brute = sum(
-                1 for x in range(basis.a, basis.b + 1)
+                1 for x in range(a, b + 1)
                 if all(x % p for p in div)
                 and any(x % p == 0 or x % p == m for p, m in nd)
             )
@@ -336,9 +362,9 @@ class TestHatTilde:
             basis = make_residue_basis(n, table_20k, interval)
             tilde = tilde_composite_pairs_ie(basis)
             assert tilde == tilde_composite_pairs(basis)
-            hat = xi._hat_inclusion_exclusion(
-                xi._signed_divisors(basis.dividing, basis.b), basis.a, basis.b)
-            assert basis.length - hat - tilde == pair_counts(n, table_20k, interval).prime_pairs
+            lo, hi = basis.interval
+            hat = xi._hat_inclusion_exclusion(xi._signed_divisors(_dividing(basis), hi), lo, hi)
+            assert hi - lo + 1 - hat - tilde == pair_counts(n, table_20k, interval).prime_pairs
 
     def test_inverse_tables(self, table_20k):
         for p in [*table_20k.primes[:60].tolist(), 8191]:
@@ -367,8 +393,8 @@ class TestHatTilde:
         # one full period of each prime marks 2 positions when p does not
         # divide n, 1 when it does
         basis = make_residue_basis(420, table_20k)
-        for p, m in basis.entries:
-            lo = basis.a
+        for p in basis.primes:
+            lo, m = basis.interval[0], 420 % p
             period = list(range(lo, lo + p))
             marked = [x for x in period if x % p == 0 or x % p == m]
             assert len(marked) == (2 if m else 1)
@@ -490,7 +516,7 @@ class TestSymmetryInvariants:
     def test_forward_backward_divisor_counts(self, table_20k):
         # x -> n - x matches multiples of p with positions ≡ n (mod p)
         for n in (100, 1000, 7920):
-            for p, m in make_residue_basis(n, table_20k).entries:
+            for p in make_residue_basis(n, table_20k).primes:
                 xs = np.arange(1, n)
                 fwd = int(np.count_nonzero(xs % p == 0))
                 bwd = int(np.count_nonzero((n - xs) % p == 0))
@@ -498,8 +524,9 @@ class TestSymmetryInvariants:
 
     def test_residue_shift_counts(self, table_20k):
         for n in (100, 1000, 7920):
-            for p, m in make_residue_basis(n, table_20k).entries:
+            for p in make_residue_basis(n, table_20k).primes:
                 xs = np.arange(1, n)
+                m = n % p
                 zero_class = int(np.count_nonzero(xs % p == 0))
                 m_class = int(np.count_nonzero(xs % p == m))
                 assert zero_class == m_class, (n, p)
