@@ -165,8 +165,11 @@ def _mark_blocks(
         raise ValueError(f"block_size must be >= 1, got {block_size}")
     buf = np.empty(max(0, min(block_size, hi - lo + 1)), dtype=bool)
     for start in range(lo, hi + 1, block_size):
-        block = buf[: min(buf.size, hi + 1 - start)]
-        block[:] = False if blank is None else blank[: block.size]
+        block = buf[: hi + 1 - start]
+        if blank is None:
+            block.fill(False)
+        else:
+            block[:] = blank[: block.size]
         counts = []
         for marks in passes:
             for p, first in marks:

@@ -179,14 +179,19 @@ def _signed_divisors(primes: Sequence[int], bound: int) -> list[tuple[int, int]]
     ``bound``: sign 1 for an odd number of factors, -1 for an even one."""
     terms = [(1, -1)]
     for p in primes:
-        terms += [(d * p, -s) for d, s in terms if d * p <= bound]
+        for d, s in terms[:]:
+            if d * p <= bound:
+                terms.append((d * p, -s))
     return terms[1:]
 
 
 def _hat_inclusion_exclusion(divisors: Sequence[tuple[int, int]], a: int, b: int) -> int:
     """Positions of [a, b] divisible by some prime, from the signed
     products of those primes that ``_signed_divisors`` lists."""
-    return sum(s * (b // d - (a - 1) // d) for d, s in divisors)
+    total, a = 0, a - 1
+    for d, s in divisors:
+        total += s * (b // d - a // d)
+    return total
 
 
 def _sieve(
@@ -197,18 +202,18 @@ def _sieve(
 
     The even x are all hat, by p = 2, and are counted in closed form; the
     kernel marks the odd x in the lanes x = wj + r of the wheel w
-    (``legendre._wheel``). One loop over the basis primes takes m = n % p,
-    collects the primes dividing n and builds the kernel's passes; for
-    w = 2, one lane, it writes each class's first index: c of p at
-    x = 2i + 1 from i = (c - 1)(p + 1)/2 mod p. For w = 30, 15 lanes
-    whose first j comes from ``legendre._lane_marks``, 3 and 5 decide
-    whole lanes: a lane r = 0 (mod p) of a p | n is all hat, counted in
-    closed form; one in class 0 or m of a p not dividing n is all
-    composite, and only class 0 of the dividing primes above 5 marks it,
-    for its hat. Every other lane takes two passes: class 0 of the
-    dividing primes, whose count is the lane's hat, then classes 0 and m
-    of the others, which bring it to hat + tilde. The lanes' survivors
-    are sorted into one array.
+    (``legendre._wheel``). One loop over the odd basis primes, written
+    out for each wheel, takes m = n % p, collects the primes dividing n
+    and builds the kernel's passes; for w = 2, one lane, it writes each
+    class's first index: c of p at x = 2i + 1 from i = (c - 1)(p + 1)/2
+    mod p. For w = 30, 15 lanes whose first j comes from
+    ``legendre._lane_marks``, 3 and 5 decide whole lanes: a lane
+    r = 0 (mod p) of a p | n is all hat, counted in closed form; one in
+    class 0 or m of a p not dividing n is all composite, and only class 0
+    of the dividing primes above 5 marks it, for its hat. Every other
+    lane takes two passes: class 0 of the dividing primes, whose count is
+    the lane's hat, then classes 0 and m of the others, which bring it to
+    hat + tilde. The lanes' survivors are sorted into one array.
 
     The sets are symmetric under x -> n - x, so on a symmetric interval
     (a + b = n) only [a, n/2] is marked and each count doubled, less the
@@ -223,25 +228,29 @@ def _sieve(
     symmetric = a + b == n
     lo, hi = a | 1, ((h if symmetric else b) - 1) | 1  # the first and last odd x marked
     wheel = _wheel((hi - lo) // 2 + 1, block_size)
-    # the primes dividing n, the odd primes that decide whole lanes, and
-    # the kernel's passes as (p, c), or for the wheel 2 as (p, first i)
-    dividing, decided, hat_classes, other_classes = [], [], [], []
-    for p in basis.primes:
-        m = n % p
-        if not m:
-            dividing.append(p)
-        if wheel % p == 0:
-            if p > 2:
-                decided.append((p, m))
-        elif wheel == 2:
+    # the primes dividing n, of which 2 always is, the odd primes that
+    # decide whole lanes, and the kernel's passes as (p, c), or for the
+    # wheel 2 as (p, first i)
+    dividing, decided, hat_classes, other_classes = [2], [], [], []
+    if wheel == 2:
+        for p in basis.primes[1:]:
+            m = n % p
             if m:
                 other_classes += (p, p // 2), (p, (m - 1) * (p + 1) // 2 % p)
             else:
+                dividing.append(p)
                 hat_classes.append((p, p // 2))
-        elif m:
-            other_classes += (p, 0), (p, m)
-        else:
-            hat_classes.append((p, 0))
+    else:
+        for p in basis.primes[1:]:
+            m = n % p
+            if not m:
+                dividing.append(p)
+            if p < 7:  # 3 and 5
+                decided.append((p, m))
+            elif m:
+                other_classes += (p, 0), (p, m)
+            else:
+                hat_classes.append((p, 0))
     hat = composite = 0
     dtype = np.int32 if n < 2**31 else np.int64
     chunks = []
@@ -269,17 +278,16 @@ def _sieve(
                 x += wheel * start + r
                 chunks.append(x)
         marked = None  # the lane's buffer goes before the next lane makes its own
-    half = sum(chunk.size for chunk in chunks)
-    mirrored = 0
     if symmetric:
-        centre_hat = h % 2 == 1 and dividing[-1] > 2  # 2 always divides n
+        centre_hat = h % 2 == 1 and dividing[-1] > 2
         hat = 2 * hat - centre_hat
         composite = 2 * composite - centre_hat
-        mirrored = half - int(h % 2 == 1 and not centre_hat)
     survivors = None
     if with_list:
         # one allocation: the marked half, sorted in place, then its
         # mirror n - x, less a surviving centre, written behind it
+        half = sum(map(len, chunks))
+        mirrored = half - (h % 2 == 1 and not centre_hat) if symmetric else 0
         survivors = np.empty(half + mirrored, dtype)
         if len(chunks) == 1:
             survivors[:half] = chunks[0]

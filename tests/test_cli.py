@@ -404,6 +404,47 @@ class TestSelftest:
                          r"  first counterexample: composites \+ primes \+ 1 = 9 != 8$",
                          out, re.M)
 
+    def test_one_count_from_squares_per_n(self, capsys, monkeypatch):
+        # per n, theta-sum marks from p and survivor from p^2, and the
+        # partition reads its composites off survivor instead of marking
+        # them again; one pair sieve per n, and one more for each sampled n
+        # (8, 16 and 100 at --max-n 100), whose prime_pair_list sieves anew
+        runs = {False: 0, True: 0, "sieve": 0}
+        marked, sieve = legendre._marked_count, xi._sieve
+
+        def counted(n, primes, from_squares=False):
+            runs[from_squares] += 1
+            return marked(n, primes, from_squares)
+
+        def sieved(*args, **kwargs):
+            runs["sieve"] += 1
+            return sieve(*args, **kwargs)
+
+        monkeypatch.setattr(legendre, "_marked_count", counted)
+        monkeypatch.setattr(xi, "_sieve", sieved)
+        code, _, _ = run(capsys, "selftest", "--max-n", "100")
+        per_n = len(range(8, 101, 2))
+        assert code == 0
+        assert runs == {False: per_n, True: per_n, "sieve": per_n + 3}
+
+    def test_count_from_squares_is_cross_checked(self, capsys, monkeypatch):
+        # with the count marked from p^2 one too high, survivor is one too
+        # low against the oracle, and the composites that the partition
+        # reads off it one too high; no other suite reads that count
+        marked = legendre._marked_count
+        monkeypatch.setattr(legendre, "_marked_count", lambda n, primes, from_squares=False:
+                            marked(n, primes, from_squares) + from_squares)
+        code, out, _ = run(capsys, "selftest", "--max-n", "100")
+        assert code == 1
+        assert re.search(r"^oracle-equivalence: \d+ checks, [1-9]\d* failures \[FAIL\]\n"
+                         r"  first counterexample: prime_count\(8, survivor\) = 3, oracle 4$",
+                         out, re.M)
+        assert re.search(r"^partition: \d+ checks, [1-9]\d* failures \[FAIL\]\n"
+                         r"  first counterexample: composites \+ primes \+ 1 = 9 != 8$",
+                         out, re.M)
+        for suite in ("symmetry", "identity", "float-exact-agreement"):
+            assert re.search(rf"^{suite}: \d+ checks, 0 failures \[ok\]$", out, re.M), suite
+
     def test_below_minimum(self, capsys):
         code, _, _ = run(capsys, "selftest", "--max-n", "50")
         assert code == 2
@@ -513,6 +554,14 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert err.startswith("error: hat marking") and "Traceback" not in err
+
+    def test_hat_one_off_exits_1(self, capsys, monkeypatch):
+        hat = pair_counts(1000, build_prime_table(31)).hat
+        hat_ie = xi._hat_inclusion_exclusion
+        monkeypatch.setattr(xi, "_hat_inclusion_exclusion", lambda *args: hat_ie(*args) + 1)
+        code, out, err = run(capsys, "goldbach", "1000")
+        assert (code, out) == (1, "")
+        assert err == f"error: hat marking {hat} != inclusion-exclusion {hat + 1} for n=1000\n"
 
     def test_failed_bitmap_check_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(xi, "_pair_count", lambda *args: -1)

@@ -3,6 +3,7 @@ import functools
 import math
 import multiprocessing
 import pickle
+import re
 import subprocess
 import sys
 
@@ -154,6 +155,20 @@ class TestDoubleSieve:
     def test_bad_block_size(self, table_20k):
         with pytest.raises(ValueError):
             xi._sieve(make_residue_basis(100, table_20k), block_size=0)
+
+    # the marked hat is compared with inclusion-exclusion exactly: one off
+    # raises, in the one lane of odd x and in the lanes of 30 alike
+    @pytest.mark.parametrize("n,wheel", [(1000, 2), (30030 * 211, 30)])
+    def test_hat_cross_check_raises_on_one_off(self, monkeypatch, table_20k, n, wheel):
+        lo, hi = default_interval(n)[0] | 1, (n // 2 - 1) | 1
+        assert legendre._wheel((hi - lo) // 2 + 1, DEFAULT_BLOCK) == wheel
+        hat_ie = xi._hat_inclusion_exclusion
+        monkeypatch.setattr(xi, "_hat_inclusion_exclusion", lambda *args: hat_ie(*args) + 1)
+        with pytest.raises(RuntimeError, match=rf"^hat marking (\d+) != inclusion-exclusion "
+                                               rf"(\d+) for n={n}$") as raised:
+            pair_counts(n, table_20k)
+        marked, ie = map(int, re.findall(r"\d+", str(raised.value))[:2])
+        assert ie == marked + 1
 
 
 def _literal_sieve(basis):
