@@ -27,6 +27,8 @@ odd layout a block starts as the odd half of the wheel, tiled if need
 be: the marks of 3, 5, 7, 11 and 13 over one period of 30030 integers;
 one line takes off the wheel primes that the basis leaves unmarked.
 The wheel is a read-only module constant that phi(x, a) starts from too.
+The same odd layout, marked from p^2, gives the flags of the odd primes
+that ``xi``'s scans read (``_odd_prime_flags``).
 
 All of them are validated against the oracle module in the test suite.
 """
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -134,16 +136,35 @@ def _wheel(positions: int, block_size: int) -> int:
     return 30 if positions >= _LANE_SWITCH * block_size else 2
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 #: ``_INVERSES_30[v]`` = v^-1 (mod 30) for v prime to 30, else 0.
-_INVERSES_30 = tuple(pow(v, -1, 30) if math.gcd(v, 30) == 1 else 0 for v in range(30))
+_INVERSES_30 = _read_only(np.array(
+    [pow(v, -1, 30) if math.gcd(v, 30) == 1 else 0 for v in range(30)], dtype=np.int64))
 
 
-def _lane_marks(r: int, starts: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The kernel's marks in the lane x = 30j + r: for each (p, x0) of
-    ``starts``, p and the j of the first x >= x0 with x = x0 (mod p),
-    x = x0 + p((r - x0)p^-1 mod 30)."""
-    return [(p, (x0 + p * ((r - x0) * _INVERSES_30[p % 30] % 30) - r) // 30)
-            for p, x0 in starts]
+def _lane_marks(starts: Sequence[tuple[int, int]]) -> Callable[[int], list[tuple[int, int]]]:
+    """The kernel's marks in each lane x = 30j + r, as a function of r:
+    for each (p, x0) of ``starts``, p and the j of the first x >= x0 with
+    x = x0 (mod p), x = x0 + p((r - x0)p^-1 mod 30).
+
+    The arrays of p, x0 and p^-1 mod 30 are built once, here; each lane
+    then costs one int64 expression and one ``tolist``. The products stay
+    below x0 * 29, so every x0 must satisfy x0 * 29 < 2^63.
+    """
+    ps = [p for p, _ in starts]
+    p = np.array(ps, dtype=np.int64)
+    x0 = np.array([x for _, x in starts], dtype=np.int64)
+    inverse = _INVERSES_30[p % 30]
+    x0_inverse = x0 * inverse % 30
+
+    def marks(r: int) -> list[tuple[int, int]]:
+        return list(zip(ps, ((p * ((r * inverse - x0_inverse) % 30) + x0 - r) // 30).tolist()))
+
+    return marks
 
 
 def _mark_blocks(
@@ -183,11 +204,6 @@ _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 _PERIOD = 30030
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 #: ``_WHEEL_MARKS[r]``: some wheel prime divides every x = r (mod 30030).
 _WHEEL_MARKS = _read_only(
     next(_mark_blocks(0, _PERIOD - 1, ([(p, 0) for p in _WHEEL_PRIMES],), _PERIOD))[1])
@@ -224,6 +240,34 @@ def _phi(x: int, a: int, primes: Sequence[int]) -> int:
     return total
 
 
+def _odd_blank(n: int) -> np.ndarray:
+    """The blank block of a marking over the odd x <= n, in odd indices:
+    the odd-wheel marks, tiled up to the whole periods of ``DEFAULT_BLOCK``
+    when n spans more than one period."""
+    periods = min(n // _PERIOD + 1, DEFAULT_BLOCK // _ODD_WHEEL_MARKS.size)
+    return _ODD_WHEEL_MARKS if periods == 1 else np.tile(_ODD_WHEEL_MARKS, periods)
+
+
+def _odd_prime_flags(n: int, primes: Sequence[int]) -> np.ndarray:
+    """``flags[i]``: x = 2i + 1 is prime, for the odd x <= n; ``primes``
+    are the primes <= sqrt(n), ascending from 2.
+
+    The kernel marks the odd x in blocks of ``_odd_blank(n)``, which
+    holds the multiples of 3 to 13; each prime above 13 marks from
+    index p*p // 2, every p-th index after it. The unmarked x are then 1
+    and the primes other than the wheel's, so 1 is cleared and the wheel
+    primes <= n are set back.
+    """
+    flags = np.empty((n + 1) // 2, dtype=bool)
+    blank = _odd_blank(n)
+    marks = [(p, p * p // 2) for p in primes[len(_WHEEL_PRIMES):]]
+    for start, block, _ in _mark_blocks(0, flags.size - 1, (marks,), blank.size, blank):
+        np.logical_not(block, out=flags[start : start + block.size])
+    flags[0] = False
+    flags[[q // 2 for q in _WHEEL_PRIMES[1:] if q <= n]] = True
+    return flags
+
+
 def _marked_count(n: int, primes: tuple[int, ...], from_squares: bool = False) -> int:
     """Number of x in [1, n] that the basis ``primes`` of n mark.
 
@@ -243,15 +287,13 @@ def _marked_count(n: int, primes: tuple[int, ...], from_squares: bool = False) -
     """
     wheel = _wheel(n // 2, DEFAULT_BLOCK)
     if wheel == 2:  # each block starts as the odd-wheel marks of 3 to 13
-        presieved = _WHEEL_PRIMES
-        periods = min(n // _PERIOD + 1, DEFAULT_BLOCK // _ODD_WHEEL_MARKS.size)
-        blank = _ODD_WHEEL_MARKS if periods == 1 else np.tile(_ODD_WHEEL_MARKS, periods)
+        presieved, blank = _WHEEL_PRIMES, _odd_blank(n)
         block_size = blank.size
         lanes = [(1, [(p, (p * p if from_squares else p) // 2) for p in primes[len(presieved):]])]
     else:  # the lanes prime to 30 start unmarked
         presieved, blank, block_size = _WHEEL_PRIMES[:3], None, DEFAULT_BLOCK
-        starts = [(p, p * p if from_squares else p) for p in primes[len(presieved):]]
-        lanes = ((r, _lane_marks(r, starts)) for r in (1, 7, 11, 13, 17, 19, 23, 29))
+        lane = _lane_marks([(p, p * p if from_squares else p) for p in primes[len(presieved):]])
+        lanes = ((r, lane(r)) for r in (1, 7, 11, 13, 17, 19, 23, 29))
     unmarked = 0
     for r, marks in lanes:
         for _, block, (count,) in _mark_blocks(0, (n - r) // wheel, (marks,), block_size, blank):

@@ -30,7 +30,9 @@ Over the default interval the survivors are exactly the prime pairs, so
 a scan over many n reads their counts off one shared prime bitmap (an
 AND of the odd flags with their reverse), takes hat from its closed
 inclusion-exclusion form and tilde as the rest, and keeps the sieve as
-the verifier of each span's first and last n.
+the verifier of each span's first and last n. The same kernel marks
+those flags, in the odd layout from the wheel's blank, so a span's one
+table is the primes up to the square root of its last n.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .legendre import DEFAULT_BLOCK, _lane_marks, _mark_blocks, _require_even, _wheel, make_basis
+from .legendre import (
+    DEFAULT_BLOCK, _lane_marks, _mark_blocks, _odd_prime_flags, _require_even, _wheel, make_basis)
 from .oracle import PrimeTable, build_prime_table, primes_upto
 
 __all__ = [
@@ -251,6 +254,8 @@ def _sieve(
                 other_classes += (p, 0), (p, m)
             else:
                 hat_classes.append((p, 0))
+    if wheel > 2:  # each lane's first j, one array expression per lane
+        lane_hat, lane_other = _lane_marks(hat_classes), _lane_marks(other_classes)
     hat = composite = 0
     dtype = np.int32 if n < 2**31 else np.int64
     chunks = []
@@ -262,13 +267,13 @@ def _sieve(
             hat += size
             composite += size
             continue
-        passes = [hat_classes if wheel == 2 else _lane_marks(r, hat_classes)]
+        passes = [hat_classes if wheel == 2 else lane_hat(r)]
         if decided and any(r % p in (0, m) for p, m in decided):
             composite += size
             if hat_classes:
                 hat += sum(counts[0] for _, _, counts in _mark_blocks(j0, j1, passes, block_size))
             continue
-        passes.append(other_classes if wheel == 2 else _lane_marks(r, other_classes))
+        passes.append(other_classes if wheel == 2 else lane_other(r))
         for start, marked, counts in _mark_blocks(j0, j1, passes, block_size):
             hat += counts[0]
             composite += counts[-1]
@@ -457,10 +462,14 @@ _SPAN_POSITIONS = 1 << 29
 
 #: Largest ``end`` for which a scan reads pair counts off a prime bitmap.
 #: A span's bitmap holds about 1.25 bytes per integer up to its last n
-#: (the odd-only flags, their reverse and an AND buffer), and building it
-#: peaks near 1.9: 250 MB per process at 2^27. Above this constant every
-#: n is sieved instead, in O(sqrt(n) + block) memory, so a scan's memory
-#: stays bounded whatever its end.
+#: (the odd-only flags, their reverse and an AND buffer). The marking
+#: kernel builds the flags in place, with two blocks of about 1 MB
+#: beside them, so the build peaks near 0.5 bytes per integer and the
+#: 1.25 is the peak: 160 MiB per process at 2^27, where a 21-n scan
+#: ending at 2^27 read a VmHWM of 190 MiB (279 MiB when the flags were
+#: copied out of an Eratosthenes table of a byte per integer). Above
+#: this constant every n is sieved instead, in O(sqrt(n) + block)
+#: memory, so a scan's memory stays bounded whatever its end.
 _BITMAP_MAX_END = 1 << 27
 
 
@@ -482,21 +491,19 @@ def _pair_count(odd: np.ndarray, rev: np.ndarray, buf: np.ndarray, n: int, a: in
 
 def _bitmap_span(span: tuple[int, int, int]) -> list[PairCounts]:
     """Pool task: every n of one span, counted off one odd-only prime bitmap
-    up to its last n. hat comes from inclusion-exclusion over the primes
-    dividing n, tilde is the rest. The segment sieve re-derives the first
-    and last n, hat check included; a disagreement, or a count no interval
-    can hold, raises.
+    up to its last n, which the marking kernel builds from the span's one
+    prime table, the primes <= sqrt(last n) (``legendre._odd_prime_flags``).
+    hat comes from inclusion-exclusion over the primes dividing n, tilde
+    is the rest. The segment sieve re-derives the first and last n, hat
+    check included; a disagreement, or a count no interval can hold,
+    raises.
 
     Its one int64 arithmetic, ``n % ps``, is exact by construction: this
     task runs only for ``end <= _BITMAP_MAX_END`` = 2^27, and above that
     ``_sieve_span`` takes every n on Python ints."""
     start, end, step = span
     small = build_prime_table(math.isqrt(end))
-    # a copy, so the table is freed; & on the strided flags[1::2] view
-    # would also be several times slower than on a contiguous one
-    table = build_prime_table(end)
-    odd = np.ascontiguousarray(table.flags[1::2])
-    del table
+    odd = _odd_prime_flags(end, small.primes.tolist())
     rev = odd[::-1].copy()
     buf = np.empty(odd.size // 2 + 1, dtype=bool)
     sieved = {n: pair_counts(n, small) for n in (start, end)}

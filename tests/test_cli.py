@@ -185,6 +185,16 @@ class TestWriteInts:
         tracemalloc.stop()
         assert peak < values.nbytes
 
+    def test_memory_stays_bounded(self):
+        # each piece's buffers stay under the allocator's mmap threshold,
+        # whatever the length of the array
+        values = np.arange(0, 2**31 - 1, 1000, dtype=np.int32)
+        tracemalloc.start()
+        cli._write_ints(types.SimpleNamespace(write=lambda text: None), values, " ")
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 512 * 1024
+
 
 def _expected_goldbach(n, emit, interval=None):
     """goldbach --list output as the plain json.dumps / " ".join of
@@ -358,6 +368,12 @@ _PINNED_STDOUT = {
         "c850110fb89b9837fb86c89b382b616bf9284737d585afe7d6f9a15565a8d730",
     "goldbach 20000000 --interval 1000001:5000000 --list":
         "1a339b01f9bb7878018e1169f5820f394eeb8aeafaec1d44b6a9d1ae20f9111c",
+    # a scan whose odd prime flags cross the tiled wheel blank's first
+    # block edge, and the hat-heavy list of n = 30030m in full
+    "scan-bound 2072000 2072400 --emit csv":
+        "0e5704f2c38f282ef1c94b1cac8eb50b8a2a5b9415111bd28f839e859381f867",
+    "goldbach 19429410 --list --emit json":
+        "a4632c2a5ad4c7069b47be429e3c9bc35e05b5d987b7e60d0d65ea30a538654f",
 }
 
 

@@ -359,10 +359,13 @@ class TestMarkingKernel:
     # first x >= x0 in the class of x0 mod p and in the lane, found by steps
     def test_lane_marks_match_the_first_x_in_the_lane(self):
         primes = [p for p in range(7, 98) if all(p % q for q in range(2, p))]
+        # and the squares of the primes nearest 10^6 on either side
+        large = [999_983, 1_000_003]
         for r in (1, 7, 11, 13, 17, 19, 23, 29):
-            for p in primes:
-                starts = [(p, x0) for x0 in [*range(0, 3 * p + 30), p * p, 2**31 + p]]
-                for (q, j), (_, x0) in zip(legendre._lane_marks(r, starts), starts):
+            for p in [*primes, *large]:
+                x0s = [p * p] if p in large else [*range(0, 3 * p + 30), p * p, 2**31 + p]
+                starts = [(p, x0) for x0 in x0s]
+                for (q, j), (_, x0) in zip(legendre._lane_marks(starts)(r), starts):
                     x = x0
                     while x % 30 != r:
                         x += p
@@ -372,3 +375,27 @@ class TestMarkingKernel:
         assert list(legendre._mark_blocks(5, 4, [[(3, 0)]], 2)) == []
         with pytest.raises(ValueError):
             list(legendre._mark_blocks(5, 4, [[(3, 0)]], 0))
+
+
+def _odd_prime_flags(n):
+    return legendre._odd_prime_flags(n, build_prime_table(max(math.isqrt(n), 1)).primes.tolist())
+
+
+class TestOddPrimeFlags:
+    # the kernel's flags of the odd x <= N against the oracle's table
+
+    def test_below_13_squared(self):
+        # the wheel primes lie above sqrt(N) here, and only the blank marks
+        for n in range(1, 201):
+            assert np.array_equal(_odd_prime_flags(n), build_prime_table(n).flags[1::2]), n
+
+    # one period of the odd wheel blank either side, and both sides of the
+    # tiled blank's first block edge, x = 2,072,071 at i = 69 * 15015
+    @pytest.mark.parametrize("n", [*(30030 * k + d for k in (1, 2, 7) for d in (-1, 1)),
+                                   *range(BLOCK - 2, BLOCK + 3)])
+    def test_at_the_period_and_block_edges(self, n):
+        assert np.array_equal(_odd_prime_flags(n), build_prime_table(n).flags[1::2]), n
+
+    @given(st.one_of(st.integers(1, 30_029), st.integers(30_030, 5_000_000)))
+    def test_at_random_n(self, n):
+        assert np.array_equal(_odd_prime_flags(n), build_prime_table(n).flags[1::2]), n

@@ -683,6 +683,16 @@ class TestIterPairCounts:
         streamed = [head, *first]
         assert streamed == [pair_counts(n, table_20k) for n in range(10000, 12001, 2)]
 
+    def test_scan_builds_no_table_above_the_square_root_of_its_end(self, monkeypatch):
+        # the bitmap's flags come from the marking kernel; the scan's one
+        # table holds the primes <= isqrt(end) that mark them
+        limits = []
+        build = xi.build_prime_table
+        monkeypatch.setattr(xi, "build_prime_table", lambda limit: limits.append(limit)
+                            or build(limit))
+        list(iter_pair_counts(10000, 12000))
+        assert limits and max(limits) <= math.isqrt(12000)
+
     def test_import_leaves_multiprocessing_unloaded(self):
         # the pool's module is imported where a pool starts, not at load
         code = "import sys, pairsieve.cli; print('multiprocessing' in sys.modules)"
