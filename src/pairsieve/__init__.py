@@ -43,6 +43,7 @@ from .xi import (
     pair_counts_and_array,
     prime_pair_list,
     scan_bounds,
+    scan_columns,
     tilde_composite_pairs,
     tilde_composite_pairs_ie,
 )

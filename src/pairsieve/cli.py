@@ -54,14 +54,6 @@ _EMIT = MappingProxyType(
     dict(choices=FORMATS, default="human", help="output format (default: human)"))
 
 
-def _fmt6(v: float) -> str:
-    return f"{v:.6g}"
-
-
-def _fmt_bool(v: bool) -> str:
-    return "true" if v else "false"
-
-
 #: Values per piece of ``_write_ints``. Below 2^31 a value takes at most
 #: 12 bytes of text (10 digits and a 2-byte separator), so a piece's
 #: largest buffers (the digit matrix, its bytes and their str) hold at
@@ -271,31 +263,43 @@ def cmd_goldbach(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def cmd_scan_bound(args: argparse.Namespace, out: IO[str]) -> int:
+    """The records of ``scan-bound``, formatted straight from the scan's
+    columns, a span's lines in one write; ``bound`` is ``bound_value``'s
+    float per n, as a record's is, so the bytes are a record's."""
     # the range is checked at the call, before the csv header, so that a
     # rejected range writes nothing
-    records = xi.scan_bounds(args.start, args.end, args.step, workers=args.workers)
+    columns = xi.scan_columns(args.start, args.end, args.step, workers=args.workers)
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     summary = xi.ScanSummary()
     if args.emit == "csv":
         print("n,prime_pairs,hat,tilde,interval_len,bound,margin,holds", file=out)
-    for r in records:
-        summary.add(r)
-        if args.emit == "human":
-            print(f"n={r.n} prime_pairs={r.prime_pairs} hat={r.hat} tilde={r.tilde} "
-                  f"len={r.length} bound={_fmt6(r.bound)} margin={_fmt6(r.margin)} "
-                  f"holds={_fmt_bool(r.holds)}", file=out)
-        elif args.emit == "csv":
-            print(f"{r.n},{r.prime_pairs},{r.hat},{r.tilde},{r.length},{_fmt6(r.bound)},"
-                  f"{_fmt6(r.margin)},{_fmt_bool(r.holds)}", file=out)
-        else:
-            print(json.dumps({
-                "n": r.n, "prime_pairs": r.prime_pairs, "hat": r.hat, "tilde": r.tilde,
-                "interval_len": r.length, "bound": r.bound, "margin": r.margin,
-                "holds": r.holds,
-            }), file=out)
+    for ns, hats, pairs in columns:
+        lines = []
+        for n, hat, count in zip(ns.tolist(), hats.tolist(), pairs.tolist()):
+            a, b = xi.default_interval(n)
+            length = b - a + 1
+            tilde = length - hat - count
+            bound = xi.bound_value(n)
+            margin = count - bound
+            holds = count > bound
+            summary.add_n(n, margin, holds)
+            if args.emit == "human":
+                lines.append(f"n={n} prime_pairs={count} hat={hat} tilde={tilde} len={length} "
+                             f"bound={bound:.6g} margin={margin:.6g} "
+                             f"holds={'true' if holds else 'false'}\n")
+            elif args.emit == "csv":
+                lines.append(f"{n},{count},{hat},{tilde},{length},{bound:.6g},{margin:.6g},"
+                             f"{'true' if holds else 'false'}\n")
+            else:
+                lines.append(json.dumps({
+                    "n": n, "prime_pairs": count, "hat": hat, "tilde": tilde,
+                    "interval_len": length, "bound": bound, "margin": margin,
+                    "holds": holds,
+                }) + "\n")
+        out.write("".join(lines))
     summary_line = (f"scanned={summary.count} violations={summary.violations} "
-                    f"min_margin={_fmt6(summary.min_margin)} at n={summary.min_margin_n}")
+                    f"min_margin={summary.min_margin:.6g} at n={summary.min_margin_n}")
     print(summary_line, file=out if args.emit == "human" else sys.stderr)
     return 1 if summary.violations else 0
 

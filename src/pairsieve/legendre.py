@@ -146,31 +146,38 @@ _INVERSES_30 = _read_only(np.array(
     [pow(v, -1, 30) if math.gcd(v, 30) == 1 else 0 for v in range(30)], dtype=np.int64))
 
 
-def _lane_marks(starts: Sequence[tuple[int, int]]) -> Callable[[int], list[tuple[int, int]]]:
+def _lane_marks(
+    primes: Sequence[int], starts: Sequence[int]
+) -> Callable[[int], tuple[Sequence[int], list[int]]]:
     """The kernel's marks in each lane x = 30j + r, as a function of r:
-    for each (p, x0) of ``starts``, p and the j of the first x >= x0 with
-    x = x0 (mod p), x = x0 + p((r - x0)p^-1 mod 30).
+    ``primes`` and, for each p and x0 of ``primes`` and ``starts``, the j
+    of the first x >= x0 with x = x0 (mod p), x = x0 + p((r - x0)p^-1 mod 30).
 
     The arrays of p, x0 and p^-1 mod 30 are built once, here; each lane
-    then costs one int64 expression and one ``tolist``. The products stay
-    below x0 * 29, so every x0 must satisfy x0 * 29 < 2^63.
+    then costs one int64 expression and one ``tolist``, and its primes are
+    ``primes`` itself. The products stay below x0 * 29, so every x0 must
+    satisfy x0 * 29 < 2^63.
     """
-    ps = [p for p, _ in starts]
-    p = np.array(ps, dtype=np.int64)
-    x0 = np.array([x for _, x in starts], dtype=np.int64)
+    p = np.array(primes, dtype=np.int64)
+    x0 = np.array(starts, dtype=np.int64)
     inverse = _INVERSES_30[p % 30]
     x0_inverse = x0 * inverse % 30
 
-    def marks(r: int) -> list[tuple[int, int]]:
-        return list(zip(ps, ((p * ((r * inverse - x0_inverse) % 30) + x0 - r) // 30).tolist()))
+    def marks(r: int) -> tuple[Sequence[int], list[int]]:
+        return primes, ((p * ((r * inverse - x0_inverse) % 30) + x0 - r) // 30).tolist()
 
     return marks
+
+
+#: The value every slice of the kernel is set to: a read-only 0-d array,
+#: which numpy assigns without first converting a Python bool.
+_MARK = _read_only(np.array(True))
 
 
 def _mark_blocks(
     lo: int,
     hi: int,
-    passes: Sequence[Sequence[tuple[int, int]]],
+    passes: Sequence[tuple[Sequence[int], Sequence[int]]],
     block_size: int,
     blank: np.ndarray | None = None,
 ) -> Iterator[tuple[int, np.ndarray, list[int]]]:
@@ -178,9 +185,10 @@ def _mark_blocks(
     of ``block_size`` positions of [lo, hi], all in one reused buffer.
 
     A block starts as a copy of ``blank``, one block-long period of marks,
-    or all False. Each (p, first) of each pass marks the x >= first with
-    x = first (mod p), one strided slice, and ``counts`` holds the marked
-    count after each pass. Consume ``block`` before advancing.
+    or all False. Each pass is two parallel sequences, primes and first
+    positions: each p and first marks the x >= first with x = first
+    (mod p), one strided slice, and ``counts`` holds the marked count
+    after each pass. Consume ``block`` before advancing.
     """
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
@@ -192,9 +200,9 @@ def _mark_blocks(
         else:
             block[:] = blank[: block.size]
         counts = []
-        for marks in passes:
-            for p, first in marks:
-                block[first - start if first >= start else (first - start) % p :: p] = True
+        for primes, firsts in passes:
+            for p, first in zip(primes, firsts):
+                block[first - start if first >= start else (first - start) % p :: p] = _MARK
             counts.append(int(np.count_nonzero(block)))
         yield start, block, counts
 
@@ -206,7 +214,7 @@ _PERIOD = 30030
 
 #: ``_WHEEL_MARKS[r]``: some wheel prime divides every x = r (mod 30030).
 _WHEEL_MARKS = _read_only(
-    next(_mark_blocks(0, _PERIOD - 1, ([(p, 0) for p in _WHEEL_PRIMES],), _PERIOD))[1])
+    next(_mark_blocks(0, _PERIOD - 1, ((_WHEEL_PRIMES, (0,) * 6),), _PERIOD))[1])
 #: ``_WHEEL_PHI[r]`` = phi(r, 6), the unmarked x in [1, r]; 5760 per period.
 _WHEEL_PHI = _read_only(np.cumsum(~_WHEEL_MARKS, dtype=np.int32))
 _WHEEL_TOTIENT = int(_WHEEL_PHI[-1])
@@ -260,7 +268,8 @@ def _odd_prime_flags(n: int, primes: Sequence[int]) -> np.ndarray:
     """
     flags = np.empty((n + 1) // 2, dtype=bool)
     blank = _odd_blank(n)
-    marks = [(p, p * p // 2) for p in primes[len(_WHEEL_PRIMES):]]
+    marked = primes[len(_WHEEL_PRIMES):]
+    marks = (marked, [p * p // 2 for p in marked])
     for start, block, _ in _mark_blocks(0, flags.size - 1, (marks,), blank.size, blank):
         np.logical_not(block, out=flags[start : start + block.size])
     flags[0] = False
@@ -286,13 +295,16 @@ def _marked_count(n: int, primes: tuple[int, ...], from_squares: bool = False) -
     k < sqrt(n), so a basis prime divides it.
     """
     wheel = _wheel(n // 2, DEFAULT_BLOCK)
+    presieved = _WHEEL_PRIMES if wheel == 2 else _WHEEL_PRIMES[:3]
+    marked = primes[len(presieved):]
+    starts = [p * p for p in marked] if from_squares else marked
     if wheel == 2:  # each block starts as the odd-wheel marks of 3 to 13
-        presieved, blank = _WHEEL_PRIMES, _odd_blank(n)
+        blank = _odd_blank(n)
         block_size = blank.size
-        lanes = [(1, [(p, (p * p if from_squares else p) // 2) for p in primes[len(presieved):]])]
+        lanes = [(1, (marked, [x0 // 2 for x0 in starts]))]
     else:  # the lanes prime to 30 start unmarked
-        presieved, blank, block_size = _WHEEL_PRIMES[:3], None, DEFAULT_BLOCK
-        lane = _lane_marks([(p, p * p if from_squares else p) for p in primes[len(presieved):]])
+        blank, block_size = None, DEFAULT_BLOCK
+        lane = _lane_marks(marked, starts)
         lanes = ((r, lane(r)) for r in (1, 7, 11, 13, 17, 19, 23, 29))
     unmarked = 0
     for r, marks in lanes:

@@ -32,12 +32,16 @@ AND of the odd flags with their reverse), takes hat from its closed
 inclusion-exclusion form and tilde as the rest, and keeps the sieve as
 the verifier of each span's first and last n. The same kernel marks
 those flags, in the odd layout from the wheel's blank, so a span's one
-table is the primes up to the square root of its last n.
+table is the primes up to the square root of its last n. The dividing
+primes of all of a span's n come from one strided pass per basis prime
+over them. A span's result is three int64 columns, n, hat and
+prime_pairs, which is all that crosses a process boundary: the records
+(``PairCounts``) are built where a caller iterates them, and
+``scan-bound`` formats the columns themselves.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -47,7 +51,7 @@ import numpy as np
 
 from .legendre import (
     DEFAULT_BLOCK, _lane_marks, _mark_blocks, _odd_prime_flags, _require_even, _wheel, make_basis)
-from .oracle import PrimeTable, build_prime_table, primes_upto
+from .oracle import PrimeTable, build_prime_table
 
 __all__ = [
     "ResidueBasis",
@@ -62,6 +66,7 @@ __all__ = [
     "pair_counts_and_array",
     "bound_value",
     "scan_bounds",
+    "scan_columns",
     "iter_pair_counts",
 ]
 
@@ -88,8 +93,8 @@ class ResidueBasis:
 @dataclass(frozen=True)
 class PairCounts:
     """Partition of an interval into hat / tilde / prime-pair positions.
-    The rest is derived; ``bound``, ``margin`` and ``holds`` need an even
-    n >= 26, and ``bound_value`` runs once per record, at the first read."""
+    The rest is derived at each read; ``bound``, ``margin`` and ``holds``
+    need an even n >= 26."""
 
     n: int
     interval: tuple[int, int]
@@ -111,7 +116,7 @@ class PairCounts:
     def composite_pairs(self) -> int:
         return self.hat + self.tilde
 
-    @functools.cached_property
+    @property
     def bound(self) -> float:
         return bound_value(self.n)
 
@@ -126,7 +131,8 @@ class PairCounts:
 
 @dataclass
 class ScanSummary:
-    """Streaming aggregate over the records of ``scan_bounds``."""
+    """Streaming aggregate over the records of ``scan_bounds``, or the
+    n of ``scan_columns``."""
 
     count: int = 0
     violations: int = 0
@@ -134,12 +140,17 @@ class ScanSummary:
     min_margin_n: int | None = None
 
     def add(self, record: PairCounts) -> None:
+        self.add_n(record.n, record.margin, record.holds)
+
+    def add_n(self, n: int, margin: float, holds: bool) -> None:
+        """``add`` for a record given by its n, margin and holds, as a
+        scan's columns give them."""
         self.count += 1
-        if not record.holds:
+        if not holds:
             self.violations += 1
-        if record.margin < self.min_margin:
-            self.min_margin = record.margin
-            self.min_margin_n = record.n
+        if margin < self.min_margin:
+            self.min_margin = margin
+            self.min_margin_n = n
 
 
 def default_interval(n: int) -> tuple[int, int]:
@@ -232,17 +243,20 @@ def _sieve(
     lo, hi = a | 1, ((h if symmetric else b) - 1) | 1  # the first and last odd x marked
     wheel = _wheel((hi - lo) // 2 + 1, block_size)
     # the primes dividing n, of which 2 always is, the odd primes that
-    # decide whole lanes, and the kernel's passes as (p, c), or for the
-    # wheel 2 as (p, first i)
-    dividing, decided, hat_classes, other_classes = [2], [], [], []
+    # decide whole lanes, and the kernel's passes as parallel lists of
+    # primes and classes c, or for the wheel 2 of primes and first i
+    dividing, decided = [2], []
+    hat_p, hat_c, other_p, other_c = [], [], [], []
     if wheel == 2:
         for p in basis.primes[1:]:
             m = n % p
             if m:
-                other_classes += (p, p // 2), (p, (m - 1) * (p + 1) // 2 % p)
+                other_p += p, p
+                other_c += p // 2, (m - 1) * (p + 1) // 2 % p
             else:
                 dividing.append(p)
-                hat_classes.append((p, p // 2))
+                hat_p.append(p)
+                hat_c.append(p // 2)
     else:
         for p in basis.primes[1:]:
             m = n % p
@@ -251,11 +265,13 @@ def _sieve(
             if p < 7:  # 3 and 5
                 decided.append((p, m))
             elif m:
-                other_classes += (p, 0), (p, m)
+                other_p += p, p
+                other_c += 0, m
             else:
-                hat_classes.append((p, 0))
+                hat_p.append(p)
+                hat_c.append(0)
     if wheel > 2:  # each lane's first j, one array expression per lane
-        lane_hat, lane_other = _lane_marks(hat_classes), _lane_marks(other_classes)
+        lane_hat, lane_other = _lane_marks(hat_p, hat_c), _lane_marks(other_p, other_c)
     hat = composite = 0
     dtype = np.int32 if n < 2**31 else np.int64
     chunks = []
@@ -267,13 +283,13 @@ def _sieve(
             hat += size
             composite += size
             continue
-        passes = [hat_classes if wheel == 2 else lane_hat(r)]
+        passes = [(hat_p, hat_c) if wheel == 2 else lane_hat(r)]
         if decided and any(r % p in (0, m) for p, m in decided):
             composite += size
-            if hat_classes:
+            if hat_p:
                 hat += sum(counts[0] for _, _, counts in _mark_blocks(j0, j1, passes, block_size))
             continue
-        passes.append(other_classes if wheel == 2 else lane_other(r))
+        passes.append((other_p, other_c) if wheel == 2 else lane_other(r))
         for start, marked, counts in _mark_blocks(j0, j1, passes, block_size):
             hat += counts[0]
             composite += counts[-1]
@@ -450,8 +466,8 @@ def bound_value(n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# scanning: one PairCounts per n, off one prime bitmap per span, the sieve
-# as the verifier; optionally parallel over spans, output always ascending
+# scanning: columns of counts per span, off one prime bitmap each, the
+# sieve as the verifier; optionally parallel over spans, always ascending
 # ---------------------------------------------------------------------------
 
 #: Bitmap positions a span of a scan covers at least, summed over its n
@@ -489,54 +505,94 @@ def _pair_count(odd: np.ndarray, rev: np.ndarray, buf: np.ndarray, n: int, a: in
     return 2 * int(np.count_nonzero(hits)) - int(h % 2 == 1 and odd[h // 2])
 
 
-def _bitmap_span(span: tuple[int, int, int]) -> list[PairCounts]:
-    """Pool task: every n of one span, counted off one odd-only prime bitmap
-    up to its last n, which the marking kernel builds from the span's one
-    prime table, the primes <= sqrt(last n) (``legendre._odd_prime_flags``).
-    hat comes from inclusion-exclusion over the primes dividing n, tilde
-    is the rest. The segment sieve re-derives the first and last n, hat
-    check included; a disagreement, or a count no interval can hold,
-    raises.
+#: A span of a scan as three int64 columns: its n, ascending, and each
+#: n's hat and prime-pair counts over its default interval. A pool task
+#: returns one, so three arrays cross each process boundary, not a
+#: record per n; tilde and the bound are derived where they are read.
+Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    Its one int64 arithmetic, ``n % ps``, is exact by construction: this
-    task runs only for ``end <= _BITMAP_MAX_END`` = 2^27, and above that
-    ``_sieve_span`` takes every n on Python ints."""
+
+def _dividing_primes(
+    start: int, end: int, step: int, primes: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """For each n of ``range(start, end + 1, step)``, every n even and
+    >= 8: the ascending primes p <= sqrt(n) that divide it, ``primes``
+    being the primes up to sqrt(end) from 2.
+
+    One strided pass per prime over the span's n = start + k*step: a p
+    dividing ``step`` divides every n or none, another divides every
+    p-th n from k = -start/step (mod p) on, counted from the first n
+    >= p*p.
+    """
+    count = (end - start) // step + 1
+    sets = [[2] for _ in range(count)]
+    for p in primes[1:]:
+        first = max(0, -((start - p * p) // step))  # the first k with n >= p*p
+        if first >= count:
+            break
+        if step % p:
+            k, stride = -start * pow(step, -1, p) % p, p
+        elif start % p:
+            continue
+        else:
+            k, stride = 0, 1
+        if k < first:
+            k -= (k - first) // stride * stride
+        for i in range(k, count, stride):
+            sets[i].append(p)
+    return list(map(tuple, sets))
+
+
+def _bitmap_span(span: tuple[int, int, int]) -> Columns:
+    """Pool task: the columns of one span, counted off one odd-only prime
+    bitmap up to its last n, which the marking kernel builds from the
+    span's one prime table, the primes <= sqrt(last n)
+    (``legendre._odd_prime_flags``). hat comes from inclusion-exclusion
+    over the primes dividing n (``_dividing_primes``), with the signed
+    products of each set of them built once per span; tilde is the
+    rest. The segment sieve re-derives the first and last n, hat check
+    included; a disagreement, or a count no interval can hold, raises.
+    Python ints throughout, so no arithmetic can overflow."""
     start, end, step = span
     small = build_prime_table(math.isqrt(end))
-    odd = _odd_prime_flags(end, small.primes.tolist())
+    primes = small.primes.tolist()
+    odd = _odd_prime_flags(end, primes)
     rev = odd[::-1].copy()
     buf = np.empty(odd.size // 2 + 1, dtype=bool)
-    sieved = {n: pair_counts(n, small) for n in (start, end)}
     # the signed products of each set of dividing primes met in this span,
     # up to its last n, which covers every interval of the span
     divisors: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    out = []
-    for n in range(start, end + 1, step):
-        a, b = default_interval(n)
-        length = b - a + 1
-        ps = primes_upto(small.primes, math.isqrt(n))
-        dividing = tuple(ps[n % ps == 0].tolist())
-        if dividing not in divisors:
-            divisors[dividing] = _signed_divisors(dividing, end)
-        hat = _hat_inclusion_exclusion(divisors[dividing], a, b)
-        pairs = _pair_count(odd, rev, buf, n, a)
-        if pairs < 0 or hat + pairs > length:
-            raise RuntimeError(f"bitmap counts hat={hat} prime_pairs={pairs} impossible "
-                               f"over {length} positions for n={n}")
-        want = sieved.get(n)
-        if want is not None and (hat, pairs) != (want.hat, want.prime_pairs):
-            raise RuntimeError(f"bitmap counts hat={hat} prime_pairs={pairs} != sieved "
+    ns = range(start, end + 1, step)
+    hats, pairs = [], []
+    for n, dividing in zip(ns, _dividing_primes(start, end, step, primes)):
+        a = math.isqrt(n - 1) + 1
+        terms = divisors.get(dividing)
+        if terms is None:
+            terms = divisors[dividing] = _signed_divisors(dividing, end)
+        hat = _hat_inclusion_exclusion(terms, a, n - a)
+        count = _pair_count(odd, rev, buf, n, a)
+        if count < 0 or hat + count > n - 2 * a + 1:
+            raise RuntimeError(f"bitmap counts hat={hat} prime_pairs={count} impossible "
+                               f"over {n - 2 * a + 1} positions for n={n}")
+        hats.append(hat)
+        pairs.append(count)
+    for n, hat, count in ((ns[0], hats[0], pairs[0]), (ns[-1], hats[-1], pairs[-1])):
+        want = pair_counts(n, small)
+        if (hat, count) != (want.hat, want.prime_pairs):
+            raise RuntimeError(f"bitmap counts hat={hat} prime_pairs={count} != sieved "
                                f"hat={want.hat} prime_pairs={want.prime_pairs} for n={n}")
-        out.append(PairCounts(n=n, interval=(a, b), hat=hat, tilde=length - hat - pairs,
-                              prime_pairs=pairs))
-    return out
+    return (np.arange(start, end + 1, step, dtype=np.int64), np.array(hats, dtype=np.int64),
+            np.array(pairs, dtype=np.int64))
 
 
-def _sieve_span(span: tuple[int, int, int]) -> list[PairCounts]:
-    """Pool task: every n of one span through the segment sieve."""
+def _sieve_span(span: tuple[int, int, int]) -> Columns:
+    """Pool task: the columns of one span, every n through the segment sieve."""
     start, end, step = span
     table = build_prime_table(math.isqrt(end))
-    return [pair_counts(n, table) for n in range(start, end + 1, step)]
+    records = [pair_counts(n, table) for n in range(start, end + 1, step)]
+    return (np.arange(start, end + 1, step, dtype=np.int64),
+            np.array([r.hat for r in records], dtype=np.int64),
+            np.array([r.prime_pairs for r in records], dtype=np.int64))
 
 
 def _spans(start: int, end: int, step: int) -> list[tuple[int, int, int]]:
@@ -586,12 +642,24 @@ def scan_bounds(
     return iter_pair_counts(start, end, step, workers=workers)
 
 
+def scan_columns(
+    start: int, end: int, step: int = 2, *, workers: int = 1
+) -> Iterator[Columns]:
+    """``scan_bounds`` as columns: per span, in ascending n, the int64
+    arrays n, hat and prime_pairs of its records, whose interval is each
+    n's default one. The range is checked at the call, as there.
+    """
+    _validate_scan_range(start, end, step, minimum=26)
+    return _span_columns(start, end, step, workers)
+
+
 def iter_pair_counts(
     start: int, end: int, step: int = 2, *, workers: int = 1
 ) -> Iterator[PairCounts]:
     """PairCounts for every even n in [start, end] by ``step``; minimum
     start is 8. Records come out in ascending n whatever ``workers`` is:
-    parallel spans are consumed in submission order.
+    parallel spans are consumed in submission order, and each span's
+    records are built in this process from its columns.
 
     The n are cut into spans of about ``_SPAN_POSITIONS`` bitmap
     positions, each counted off its own prime bitmap and checked by the
@@ -601,16 +669,24 @@ def iter_pair_counts(
     processes, clamped to the CPU count, takes the spans.
     """
     _validate_scan_range(start, end, step, minimum=8)
+    for ns, hats, pairs in _span_columns(start, end, step, workers):
+        for n, hat, count in zip(ns.tolist(), hats.tolist(), pairs.tolist()):
+            a, b = default_interval(n)
+            yield PairCounts(n, (a, b), hat, b - a + 1 - hat - count, count)
+
+
+def _span_columns(start: int, end: int, step: int, workers: int) -> Iterator[Columns]:
+    """The columns of each span of the scan that ``iter_pair_counts``
+    describes, in ascending n."""
     spans = _spans(start, end, step)
     task = _bitmap_span if end <= _BITMAP_MAX_END else _sieve_span
     workers = _pool_size(workers)
     if workers == 1 or len(spans) < 2:
         for span in spans:
-            yield from task(span)
+            yield task(span)
         return
     # imported here, so that loading the package never loads multiprocessing
     from multiprocessing import Pool
 
     with Pool(workers) as pool:
-        for counts in pool.imap(task, spans):
-            yield from counts
+        yield from pool.imap(task, spans)

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -18,7 +19,7 @@ from pairsieve import (
     EXACT, build_prime_table, cli, goldbach_pairs_oracle, legendre, oracle, pair_counts,
     prime_pair_list, theta_sin, theta_sin_array, xi,
 )
-from pairsieve.cli import build_parser, main
+from pairsieve.cli import FORMATS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -328,8 +329,9 @@ class TestScanBound:
 
 
 #: sha256 of stdout for each argv: a change to the bytes of any record
-#: shows here. scan-bound --emit json is left out, since its full-precision
-#: floats depend on the platform's libm.
+#: shows here. The one scan-bound --emit json holds full-precision floats
+#: from the platform's libm, so on another platform that hash alone may
+#: differ.
 _PINNED_STDOUT = {
     "scan-bound 1000 2000 --emit csv":
         "fb2d82f2bf0e95bdd3e1fa4a6567f342b21194b4ea1d6bab2860ca253fac687e",
@@ -374,6 +376,9 @@ _PINNED_STDOUT = {
         "0e5704f2c38f282ef1c94b1cac8eb50b8a2a5b9415111bd28f839e859381f867",
     "goldbach 19429410 --list --emit json":
         "a4632c2a5ad4c7069b47be429e3c9bc35e05b5d987b7e60d0d65ea30a538654f",
+    # a scan of several spans through a pool of two workers
+    "scan-bound 10000 200000 --emit json --workers 2":
+        "6cd528bcb2a3542b84000729d33b0c702905a0eba0b39d69f2bc8bc3b02dd715",
 }
 
 
@@ -382,6 +387,73 @@ def test_stdout_bytes_are_pinned(capsys, argv):
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_STDOUT[argv]
+
+
+def _scan_by_records(start, end, step, emit):
+    """scan-bound's exit code, stdout and stderr, formatted record by
+    record from a sieved ``PairCounts`` per n, as the command wrote them
+    before it read the scan's columns."""
+    table = build_prime_table(math.isqrt(end))
+    summary = xi.ScanSummary()
+    lines = ["n,prime_pairs,hat,tilde,interval_len,bound,margin,holds"] if emit == "csv" else []
+    for r in (pair_counts(n, table) for n in range(start, end + 1, step)):
+        summary.add(r)
+        holds = "true" if r.holds else "false"
+        if emit == "human":
+            lines.append(f"n={r.n} prime_pairs={r.prime_pairs} hat={r.hat} tilde={r.tilde} "
+                         f"len={r.length} bound={r.bound:.6g} margin={r.margin:.6g} "
+                         f"holds={holds}")
+        elif emit == "csv":
+            lines.append(f"{r.n},{r.prime_pairs},{r.hat},{r.tilde},{r.length},{r.bound:.6g},"
+                         f"{r.margin:.6g},{holds}")
+        else:
+            lines.append(json.dumps({
+                "n": r.n, "prime_pairs": r.prime_pairs, "hat": r.hat, "tilde": r.tilde,
+                "interval_len": r.length, "bound": r.bound, "margin": r.margin,
+                "holds": r.holds}))
+    summary_line = (f"scanned={summary.count} violations={summary.violations} "
+                    f"min_margin={summary.min_margin:.6g} at n={summary.min_margin_n}\n")
+    out = "".join(line + "\n" for line in lines)
+    code = 1 if summary.violations else 0
+    return (code, out + summary_line, "") if emit == "human" else (code, out, summary_line)
+
+
+class TestScanColumns:
+    # the command formats the scan's columns; every byte of stdout and of
+    # the summary line equals a record-by-record formatting of the sieve:
+    # every n of [26, 30000], steps sharing a prime with every basis (6,
+    # 3314 = 2 * 1657 over perfbench's range, 30030), and several spans
+    # through a pool
+    @pytest.mark.parametrize("emit", FORMATS)
+    @pytest.mark.parametrize("start,end,step", [(26, 30000, 2), (26, 30000, 6),
+                                                (12458, 1000000, 3314), (26, 90116, 30030)])
+    def test_bytes_equal_the_records(self, capsys, emit, start, end, step):
+        assert run(capsys, "scan-bound", str(start), str(end), "--step", str(step),
+                   "--emit", emit) == _scan_by_records(start, end, step, emit)
+
+    @pytest.mark.parametrize("emit", FORMATS)
+    def test_bytes_equal_the_records_over_a_pool(self, capsys, monkeypatch, emit):
+        monkeypatch.setattr(xi, "_SPAN_POSITIONS", 1_000_000)
+        assert len(xi._spans(10000, 12000, 2)) == 3
+        assert run(capsys, "scan-bound", "10000", "12000", "--emit", emit, "--workers", "2") \
+            == _scan_by_records(10000, 12000, 2, emit)
+
+    # the pool's start method changes nothing: a 3-span scan gives one
+    # stdout under each, the one pinned here
+    def test_start_method_leaves_stdout_unchanged(self):
+        code = ("import multiprocessing, sys\n"
+                "multiprocessing.set_start_method(sys.argv[1])\n"
+                "from pairsieve import cli, xi\n"
+                "xi._SPAN_POSITIONS = 1_000_000\n"
+                "assert len(xi._spans(10000, 12000, 2)) == 3\n"
+                "sys.exit(cli.main(['scan-bound', '10000', '12000', '--emit', 'csv', "
+                "'--workers', '2']))\n")
+        for method in ("fork", "spawn", "forkserver"):
+            result = subprocess.run([sys.executable, "-c", code, method], capture_output=True,
+                                    timeout=120)
+            assert result.returncode == 0, (method, result.stderr[-500:])
+            assert hashlib.sha256(result.stdout).hexdigest() == \
+                "d33711b2ea5ae75e8098585dca840d7a9e77fcf941fa0c9e26d75aa92c1585cf", method
 
 
 class TestSelftest:
@@ -623,7 +695,7 @@ class TestExitCodes:
     def test_memory_error_exits_2(self, capsys, monkeypatch):
         def out_of_memory(*args, **kwargs):
             raise MemoryError
-        monkeypatch.setattr(cli.xi, "iter_pair_counts", out_of_memory)
+        monkeypatch.setattr(cli.xi, "_bitmap_span", out_of_memory)
         code, _, err = run(capsys, "scan-bound", "100", "104")
         assert code == 2
         assert err.startswith("error: out of memory") and "Traceback" not in err

@@ -345,8 +345,10 @@ class TestMarkingKernel:
                                                    max_size=block_size), label="blank")
             blank = None if blank is None else np.array(blank, dtype=bool)
         final, after = _literal_marks(lo, hi, passes, block_size, blank)
+        # the kernel takes each pass as parallel lists of primes and firsts
+        columns = [([p for p, _ in marks], [first for _, first in marks]) for marks in passes]
         starts, blocks = [], []
-        for start, block, counts in legendre._mark_blocks(lo, hi, passes, block_size, blank):
+        for start, block, counts in legendre._mark_blocks(lo, hi, columns, block_size, blank):
             i = start - lo
             assert block.size == min(block_size, hi + 1 - start)
             assert counts == [int(a[i : i + block.size].sum()) for a in after]
@@ -364,17 +366,18 @@ class TestMarkingKernel:
         for r in (1, 7, 11, 13, 17, 19, 23, 29):
             for p in [*primes, *large]:
                 x0s = [p * p] if p in large else [*range(0, 3 * p + 30), p * p, 2**31 + p]
-                starts = [(p, x0) for x0 in x0s]
-                for (q, j), (_, x0) in zip(legendre._lane_marks(starts)(r), starts):
+                marked, firsts = legendre._lane_marks([p] * len(x0s), x0s)(r)
+                assert list(marked) == [p] * len(x0s)
+                for j, x0 in zip(firsts, x0s, strict=True):
                     x = x0
                     while x % 30 != r:
                         x += p
-                    assert (q, 30 * j + r) == (p, x), (r, p, x0)
+                    assert 30 * j + r == x, (r, p, x0)
 
     def test_empty_range_yields_no_block(self):
-        assert list(legendre._mark_blocks(5, 4, [[(3, 0)]], 2)) == []
+        assert list(legendre._mark_blocks(5, 4, [([3], [0])], 2)) == []
         with pytest.raises(ValueError):
-            list(legendre._mark_blocks(5, 4, [[(3, 0)]], 0))
+            list(legendre._mark_blocks(5, 4, [([3], [0])], 0))
 
 
 def _odd_prime_flags(n):

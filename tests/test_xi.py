@@ -645,6 +645,21 @@ class TestIterPairCounts:
             streamed = list(iter_pair_counts(first, end, step))
         assert streamed == [pair_counts(n, table_20k) for n in range(first, end + 1, step)]
 
+    # steps that share every small prime with n (30030), some (6, 3314 =
+    # 2 * 1657) or only 2, and starts on both sides of the squares
+    @given(start=st.integers(4, 40000).map(lambda k: 2 * k),
+           count=st.integers(1, 300),
+           step=st.one_of(st.sampled_from([2, 6, 3314, 30030]),
+                          st.integers(1, 5000).map(lambda k: 2 * k)))
+    @example(start=8, count=200, step=2)
+    @example(start=120, count=3, step=2)  # 11^2 lies between 120 and 122
+    def test_dividing_primes_match_trial_division(self, start, count, step):
+        end = start + (count - 1) * step
+        primes = build_prime_table(math.isqrt(end)).primes.tolist()
+        assert xi._dividing_primes(start, end, step, primes) == [
+            tuple(p for p in primes if p * p <= n and n % p == 0)
+            for n in range(start, end + 1, step)]
+
     @pytest.mark.parametrize("bad_n", [1000, 1100])
     def test_sieve_checks_each_span_first_and_last_n(self, monkeypatch, bad_n):
         pair_count = xi._pair_count
@@ -653,6 +668,15 @@ class TestIterPairCounts:
                             + (n == bad_n))
         with pytest.raises(RuntimeError, match=f"bitmap counts .*n={bad_n}"):
             list(iter_pair_counts(1000, 1100))
+
+    def test_span_checks_its_last_n_when_its_end_is_off_the_step(self, monkeypatch):
+        # 1096 is the last n of 1000 + 4k up to 1098
+        pair_count = xi._pair_count
+        monkeypatch.setattr(xi, "_pair_count",
+                            lambda odd, rev, buf, n, a: pair_count(odd, rev, buf, n, a)
+                            + (n == 1096))
+        with pytest.raises(RuntimeError, match="bitmap counts .*n=1096"):
+            xi._bitmap_span((1000, 1098, 4))
 
     def test_small_scan_starts_no_pool(self, monkeypatch):
         def no_pool(*args):
@@ -700,13 +724,19 @@ class TestIterPairCounts:
                                 text=True, check=True)
         assert result.stdout == "False\n"
 
-    def test_pickled_record_holds_only_the_counts(self):
-        # a pool worker's records reach the scan's parent by pickle; the
-        # derived values travel in none of them
-        record = xi._bitmap_span((1000, 1010, 2))[0]
-        back = pickle.loads(pickle.dumps(record))
-        assert list(vars(back)) == ["n", "interval", "hat", "tilde", "prime_pairs"]
-        assert back == record and back.bound == bound_value(1000)
+    def test_pickled_record_holds_only_the_counts(self, table_20k):
+        # a pool task's result reaches the scan's parent by pickle: the n,
+        # hat and prime_pairs columns of its span, and nothing derived;
+        # both tasks give that one shape
+        records = [pair_counts(n, table_20k) for n in range(1000, 1011, 2)]
+        for task in (xi._bitmap_span, xi._sieve_span):
+            back = pickle.loads(pickle.dumps(task((1000, 1010, 2))))
+            assert type(back) is tuple and len(back) == 3
+            assert all(type(c) is np.ndarray and c.dtype == np.int64 and c.shape == (6,)
+                       for c in back)
+            assert [c.tolist() for c in back] == [
+                [r.n for r in records], [r.hat for r in records],
+                [r.prime_pairs for r in records]]
 
     def test_pool_size_clamped_to_cpu_count(self, monkeypatch):
         # the CPUs this process may run on: under taskset -c 0 on a 2-CPU
