@@ -114,19 +114,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("primecount", help="count primes <= N")
-    p.add_argument("n", type=int)
-    p.add_argument("--method", choices=legendre.PRIME_METHODS, default="legendre")
-    p.add_argument("--oracle-check", action="store_true")
-    p.add_argument("--emit", **_EMIT)
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("composites", help="count composites <= N")
-    p.add_argument("n", type=int)
-    p.add_argument("--method", choices=legendre.COMPOSITE_METHODS, default="legendre")
-    p.add_argument("--oracle-check", action="store_true")
-    p.add_argument("--emit", **_EMIT)
-    p.set_defaults(func=cmd_count)
+    for command, what, methods in (("primecount", "primes", legendre.PRIME_METHODS),
+                                   ("composites", "composites", legendre.COMPOSITE_METHODS)):
+        p = sub.add_parser(command, help=f"count {what} <= N")
+        p.add_argument("n", type=int)
+        p.add_argument("--method", choices=methods, default="legendre")
+        p.add_argument("--oracle-check", action="store_true")
+        p.add_argument("--emit", **_EMIT)
+        p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("goldbach", help="interval prime-pair counts for even N")
     p.add_argument("n", type=int)
@@ -264,8 +259,9 @@ def cmd_goldbach(args: argparse.Namespace, out: IO[str]) -> int:
 
 def cmd_scan_bound(args: argparse.Namespace, out: IO[str]) -> int:
     """The records of ``scan-bound``, formatted straight from the scan's
-    columns, a span's lines in one write; ``bound`` is ``bound_value``'s
-    float per n, as a record's is, so the bytes are a record's."""
+    columns, a span's lines in one write; each row's bound, margin and
+    holds are ``ScanSummary.add_row``'s, a record's, so the bytes are a
+    record's."""
     # the range is checked at the call, before the csv header, so that a
     # rejected range writes nothing
     columns = xi.scan_columns(args.start, args.end, args.step, workers=args.workers)
@@ -280,10 +276,7 @@ def cmd_scan_bound(args: argparse.Namespace, out: IO[str]) -> int:
             a, b = xi.default_interval(n)
             length = b - a + 1
             tilde = length - hat - count
-            bound = xi.bound_value(n)
-            margin = count - bound
-            holds = count > bound
-            summary.add_n(n, margin, holds)
+            bound, margin, holds = summary.add_row(n, count)
             if args.emit == "human":
                 lines.append(f"n={n} prime_pairs={count} hat={hat} tilde={tilde} len={length} "
                              f"bound={bound:.6g} margin={margin:.6g} "

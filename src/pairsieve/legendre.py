@@ -94,18 +94,13 @@ def varpi_p(n: int, p: int) -> int:
 def varpi_pq(n: int, p: int, q: int) -> int:
     """Integers in [1, n] divisible by p or q, minus the two primes.
 
-    Symmetric in p and q: floor(n/p) + floor(n/q) - floor(n/pq) - 2.
+    Symmetric in p and q: ``varpi_p`` of each, whose checks (n even,
+    each a prime <= sqrt(n)) apply to both, less the floor(n/pq)
+    multiples counted twice.
     """
-    _require_even(n)
     if p == q:
         raise ValueError("p and q must be distinct primes")
-    r = math.isqrt(n)
-    for v in (p, q):
-        if v > r:
-            raise ValueError(f"primes must be <= floor(sqrt(n)) = {r}, got {v}")
-        if not is_prime_trial(v):
-            raise ValueError(f"expected a prime, got {v}")
-    return n // p + n // q - n // (p * q) - 2
+    return varpi_p(n, p) + varpi_p(n, q) - n // (p * q)
 
 
 #: Positions per block of the marking kernel: odd x (x = 2i + 1 at

@@ -105,15 +105,9 @@ def theta_sin(x: int, d: int, mode: ThetaMode = EXACT) -> int:
     literally and compares against ``mode.epsilon``; it raises
     GuardError outside x <= 10^7, d <= 10^4, the one domain where the
     tolerance is shown to separate zeros from nonzeros. Both agree on it.
+    It is the class m = 0 of ``theta_sin_shift``.
     """
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if mode.is_exact:
-        return 1 if x % d == 0 else 0
-    _check_guard(x, d)
-    return 1 if abs(math.sin(x * math.pi / d)) < mode.epsilon else 0
+    return theta_sin_shift(x, 0, d, mode)
 
 
 def theta_sin_array(x: np.ndarray, d: np.ndarray, mode: ThetaMode = EXACT) -> np.ndarray:

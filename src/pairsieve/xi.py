@@ -132,7 +132,10 @@ class PairCounts:
 @dataclass
 class ScanSummary:
     """Streaming aggregate over the records of ``scan_bounds``, or the
-    n of ``scan_columns``."""
+    rows of ``scan_columns``: the count, the violations of the bound and
+    the minimum margin with its n. ``add_row`` works out a row's bound,
+    margin and holds, bitwise as a record's, and returns them to the
+    caller that formats the row."""
 
     count: int = 0
     violations: int = 0
@@ -140,17 +143,21 @@ class ScanSummary:
     min_margin_n: int | None = None
 
     def add(self, record: PairCounts) -> None:
-        self.add_n(record.n, record.margin, record.holds)
+        self.add_row(record.n, record.prime_pairs)
 
-    def add_n(self, n: int, margin: float, holds: bool) -> None:
-        """``add`` for a record given by its n, margin and holds, as a
-        scan's columns give them."""
+    def add_row(self, n: int, prime_pairs: int) -> tuple[float, float, bool]:
+        """Fold in the row of n with ``prime_pairs`` pairs; return its
+        ``bound_value``, margin and holds, bitwise a ``PairCounts``' own."""
+        bound = bound_value(n)
+        margin = prime_pairs - bound
+        holds = prime_pairs > bound
         self.count += 1
         if not holds:
             self.violations += 1
         if margin < self.min_margin:
             self.min_margin = margin
             self.min_margin_n = n
+        return bound, margin, holds
 
 
 def default_interval(n: int) -> tuple[int, int]:
@@ -565,15 +572,15 @@ def _bitmap_span(span: tuple[int, int, int]) -> Columns:
     ns = range(start, end + 1, step)
     hats, pairs = [], []
     for n, dividing in zip(ns, _dividing_primes(start, end, step, primes)):
-        a = math.isqrt(n - 1) + 1
+        a, b = default_interval(n)
         terms = divisors.get(dividing)
         if terms is None:
             terms = divisors[dividing] = _signed_divisors(dividing, end)
-        hat = _hat_inclusion_exclusion(terms, a, n - a)
+        hat = _hat_inclusion_exclusion(terms, a, b)
         count = _pair_count(odd, rev, buf, n, a)
-        if count < 0 or hat + count > n - 2 * a + 1:
+        if count < 0 or hat + count > b - a + 1:
             raise RuntimeError(f"bitmap counts hat={hat} prime_pairs={count} impossible "
-                               f"over {n - 2 * a + 1} positions for n={n}")
+                               f"over {b - a + 1} positions for n={n}")
         hats.append(hat)
         pairs.append(count)
     for n, hat, count in ((ns[0], hats[0], pairs[0]), (ns[-1], hats[-1], pairs[-1])):

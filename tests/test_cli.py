@@ -379,6 +379,15 @@ _PINNED_STDOUT = {
     # a scan of several spans through a pool of two workers
     "scan-bound 10000 200000 --emit json --workers 2":
         "6cd528bcb2a3542b84000729d33b0c702905a0eba0b39d69f2bc8bc3b02dd715",
+    # perfbench's seed-4242 operations not pinned above
+    "scan-bound 12458 1000000 --step 3314 --emit csv --workers 2":
+        "fdf608b9e3de2f944df9099515998b69c15f21bbe5a83fe9097777ff4b349f75",
+    "primecount 1493176 --method legendre":
+        "fefcfb4ce9e2edc5388f4c70e05c76eebf679c10e85cdd187b6c3bc7e0ccb928",
+    "primecount 29926584 --method theta-sum":
+        "1d0a3dd6de29523dbc37f94cc2362f83ad0fa690261018e0844a5f469d9d7c23",
+    "selftest --max-n 2000":
+        "f5a93800ea9a32aa0e8a879e9c2a8fb9b227d3bdc01b6569244a720e09df45be",
 }
 
 

@@ -98,9 +98,13 @@ class TestVarpi:
             assert varpi_pq(n, p, q) == brute
             assert varpi_pq(n, q, p) == varpi_pq(n, p, q)
 
-    def test_varpi_pq_rejects_equal_primes(self):
+    # equal primes, a composite or a prime above sqrt(n) in either slot,
+    # and an odd n
+    @pytest.mark.parametrize("n,p,q", [(100, 3, 3), (100, 9, 3), (100, 3, 9), (100, 11, 3),
+                                       (100, 3, 11), (99, 2, 3)])
+    def test_varpi_pq_rejects(self, n, p, q):
         with pytest.raises(ValueError):
-            varpi_pq(100, 3, 3)
+            varpi_pq(n, p, q)
 
 
 class TestSubsetProducts:

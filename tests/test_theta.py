@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pairsieve import (
     DEFAULT_EPSILON,
@@ -60,17 +60,28 @@ class TestThetaSin:
         # |sin(2*pi)| in double precision is ~2.4e-16, far below 1e-8
         assert theta_sin(10, 5, FLOAT8) == 1
 
+    # theta_sin is theta_sin_shift's class 0: the same error, type and
+    # message, for every input it rejects, in either mode
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            theta_sin(-1, 3)
-        with pytest.raises(ValueError):
-            theta_sin(3, 0)
+        for x, d, message in [(-1, 3, "x must be >= 0, got -1"), (3, 0, "d must be >= 1, got 0"),
+                              (-1, 0, "x must be >= 0, got -1")]:
+            for mode in (EXACT, FLOAT8):
+                with pytest.raises(ValueError) as scalar:
+                    theta_sin(x, d, mode)
+                with pytest.raises(ValueError) as shifted:
+                    theta_sin_shift(x, 0, d, mode)
+                assert (scalar.type, str(scalar.value)) == (shifted.type, str(shifted.value)) \
+                    == (ValueError, message)
 
     def test_guard_errors(self):
-        with pytest.raises(GuardError):
-            theta_sin(10**7 + 1, 3, FLOAT8)
-        with pytest.raises(GuardError):
-            theta_sin(5, 10**4 + 1, FLOAT8)
+        for x, d in [(10**7 + 1, 3), (5, 10**4 + 1), (10**7 + 1, 10**4 + 1)]:
+            with pytest.raises(GuardError) as scalar:
+                theta_sin(x, d, FLOAT8)
+            with pytest.raises(GuardError) as shifted:
+                theta_sin_shift(x, 0, d, FLOAT8)
+            assert str(scalar.value) == str(shifted.value) == (
+                f"float mode is only guaranteed for x <= 10000000 and d <= 10000, "
+                f"got x={x}, d={d}")
         with pytest.raises(GuardError):
             theta_sin_shift(10**7 + 1, 1, 3, FLOAT8)
         # the edges themselves are inside
@@ -92,14 +103,20 @@ class TestThetaSin:
         assert math.sin(math.pi / _GUARD_MAX_D) > 100 * DEFAULT_EPSILON
 
     def test_exhaustive_mode_agreement_small(self):
+        # and each mode is theta_sin_shift's class 0
         for d in range(1, 31):
             for x in range(0, 3001):
-                assert theta_sin(x, d) == theta_sin(x, d, FLOAT8), (x, d)
+                exact, approx = theta_sin(x, d), theta_sin(x, d, FLOAT8)
+                assert exact == approx == theta_sin_shift(x, 0, d) \
+                    == theta_sin_shift(x, 0, d, FLOAT8), (x, d)
 
-    @given(st.integers(min_value=0, max_value=10**6),
-           st.integers(min_value=1, max_value=10**3))
+    @given(st.integers(min_value=0, max_value=10**7),
+           st.integers(min_value=1, max_value=10**4))
+    @example(10**7, 10**4)
+    @example(10**7 - 1, 1)
     def test_mode_agreement_sampled(self, x, d):
-        assert theta_sin(x, d) == theta_sin(x, d, FLOAT8)
+        exact, approx = theta_sin(x, d), theta_sin(x, d, FLOAT8)
+        assert exact == approx == theta_sin_shift(x, 0, d) == theta_sin_shift(x, 0, d, FLOAT8)
 
 
 class TestThetaSinArray:

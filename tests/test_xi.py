@@ -614,6 +614,37 @@ class TestScanBounds:
         assert summary.min_margin_n is not None
 
 
+class TestScanSummaryRow:
+    # a row's bound, margin and holds are worked out once, in add_row
+
+    def test_add_reads_the_bound_once_per_record(self, monkeypatch):
+        records = list(scan_bounds(100, 140, 2))
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return bound_value(n)
+
+        monkeypatch.setattr(xi, "bound_value", counted)
+        summary = ScanSummary()
+        for r in records:
+            summary.add(r)
+        assert calls == [r.n for r in records]
+
+    def test_add_row_matches_sieved_records(self):
+        # bitwise, for every even n in [26, 30000], and the summary of the
+        # rows is the summary of the records
+        table = build_prime_table(math.isqrt(30000))
+        rows, records = ScanSummary(), ScanSummary()
+        for n in range(26, 30001, 2):
+            r = pair_counts(n, table)
+            bound, margin, holds = rows.add_row(n, r.prime_pairs)
+            assert (bound.hex(), margin.hex(), holds) == (r.bound.hex(), r.margin.hex(), r.holds)
+            records.add(r)
+        assert rows == records
+        assert rows.count == 14988
+
+
 class TestIterPairCounts:
     def test_matches_single_calls(self, table_20k):
         streamed = list(iter_pair_counts(100, 140, 2))
