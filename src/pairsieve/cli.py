@@ -202,7 +202,7 @@ def cmd_goldbach(args: argparse.Namespace, out: IO[str]) -> int:
         raise ValueError("--list needs --emit human or json: the csv record has no list")
     n = args.n
     interval = _parse_interval(args.interval)
-    xi._require_pair_n(n)
+    legendre._require_even(n, 8)
     table = oracle.build_prime_table(max(math.isqrt(n), 2))
     if args.list_pairs or args.oracle_check:
         counts, pairs = xi.pair_counts_and_array(n, table, interval)

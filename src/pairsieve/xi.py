@@ -28,15 +28,15 @@ the analytic lower bound (n - 4*sqrt(n)) / ln^2(n - sqrt(n)).
 
 Over the default interval the survivors are exactly the prime pairs, so
 a scan over many n reads their counts off one shared prime bitmap (an
-AND of the odd flags with their reverse), takes hat from its closed
-inclusion-exclusion form and tilde as the rest, and keeps the sieve as
-the verifier of each span's first and last n. The same kernel marks
-those flags, in the odd layout from the wheel's blank, so a span's one
-table is the primes up to the square root of its last n. The dividing
-primes of all of a span's n come from one strided pass per basis prime
-over them. A span's result is three int64 columns, n, hat and
-prime_pairs, which is all that crosses a process boundary: the records
-(``PairCounts``) are built where a caller iterates them, and
+AND of the odd flags with their reverse), takes hat in closed form,
+Euler's product and a Moebius sum with one strided pass per squarefree
+d <= sqrt(last n) over a span's n, and tilde as the rest. One array
+check rejects a count no interval can hold, and the sieve verifies each
+span's first and last n. The same kernel marks the flags, in the odd
+layout from the wheel's blank, so a span's one table is the primes up to
+the square root of its last n. A span's result is three int64 columns,
+n, hat and prime_pairs, which is all that crosses a process boundary:
+the records (``PairCounts``) are built where a caller iterates them, and
 ``scan-bound`` formats the columns themselves.
 """
 
@@ -93,8 +93,8 @@ class ResidueBasis:
 @dataclass(frozen=True)
 class PairCounts:
     """Partition of an interval into hat / tilde / prime-pair positions.
-    The rest is derived at each read; ``bound``, ``margin`` and ``holds``
-    need an even n >= 26."""
+    The rest is derived at each read; ``bound``, ``margin`` and ``holds``,
+    from ``_bound_row``, need an even n >= 26."""
 
     n: int
     interval: tuple[int, int]
@@ -118,24 +118,24 @@ class PairCounts:
 
     @property
     def bound(self) -> float:
-        return bound_value(self.n)
+        return _bound_row(self.n, self.prime_pairs)[0]
 
     @property
     def margin(self) -> float:
-        return self.prime_pairs - self.bound
+        return _bound_row(self.n, self.prime_pairs)[1]
 
     @property
     def holds(self) -> bool:
-        return self.prime_pairs > self.bound
+        return _bound_row(self.n, self.prime_pairs)[2]
 
 
 @dataclass
 class ScanSummary:
     """Streaming aggregate over the records of ``scan_bounds``, or the
     rows of ``scan_columns``: the count, the violations of the bound and
-    the minimum margin with its n. ``add_row`` works out a row's bound,
-    margin and holds, bitwise as a record's, and returns them to the
-    caller that formats the row."""
+    the minimum margin with its n. ``add_row`` returns a row's bound,
+    margin and holds, from ``_bound_row`` as a record's, to the caller
+    that formats the row."""
 
     count: int = 0
     violations: int = 0
@@ -147,10 +147,8 @@ class ScanSummary:
 
     def add_row(self, n: int, prime_pairs: int) -> tuple[float, float, bool]:
         """Fold in the row of n with ``prime_pairs`` pairs; return its
-        ``bound_value``, margin and holds, bitwise a ``PairCounts``' own."""
-        bound = bound_value(n)
-        margin = prime_pairs - bound
-        holds = prime_pairs > bound
+        ``bound_value``, margin and holds, a ``PairCounts``' own."""
+        bound, margin, holds = _bound_row(n, prime_pairs)
         self.count += 1
         if not holds:
             self.violations += 1
@@ -164,11 +162,6 @@ def default_interval(n: int) -> tuple[int, int]:
     """Inclusive [ceil(sqrt(n)), n - ceil(sqrt(n))]."""
     a = math.isqrt(n - 1) + 1
     return a, n - a
-
-
-def _require_pair_n(n: int) -> None:
-    """Reject n outside the pair sieve's domain, the even n >= 8."""
-    _require_even(n, 8)
 
 
 def make_residue_basis(
@@ -185,7 +178,7 @@ def make_residue_basis(
     interval : (int, int), optional
         Inclusive override; defaults to ``default_interval(n)``.
     """
-    _require_pair_n(n)
+    _require_even(n, 8)  # the pair sieve's domain
     return ResidueBasis(n=n, interval=interval or default_interval(n),
                         primes=make_basis(n, table))
 
@@ -472,6 +465,12 @@ def bound_value(n: int) -> float:
     return (n - 4.0 * root) / math.log(n - root) ** 2
 
 
+def _bound_row(n: int, prime_pairs: int) -> tuple[float, float, bool]:
+    """``bound_value(n)``, and the margin and verdict of ``prime_pairs`` against it."""
+    bound = bound_value(n)
+    return bound, prime_pairs - bound, prime_pairs > bound
+
+
 # ---------------------------------------------------------------------------
 # scanning: columns of counts per span, off one prime bitmap each, the
 # sieve as the verifier; optionally parallel over spans, always ascending
@@ -519,77 +518,77 @@ def _pair_count(odd: np.ndarray, rev: np.ndarray, buf: np.ndarray, n: int, a: in
 Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _dividing_primes(
-    start: int, end: int, step: int, primes: Sequence[int]
-) -> list[tuple[int, ...]]:
-    """For each n of ``range(start, end + 1, step)``, every n even and
-    >= 8: the ascending primes p <= sqrt(n) that divide it, ``primes``
-    being the primes up to sqrt(end) from 2.
-
-    One strided pass per prime over the span's n = start + k*step: a p
-    dividing ``step`` divides every n or none, another divides every
-    p-th n from k = -start/step (mod p) on, counted from the first n
-    >= p*p.
-    """
-    count = (end - start) // step + 1
-    sets = [[2] for _ in range(count)]
-    for p in primes[1:]:
-        first = max(0, -((start - p * p) // step))  # the first k with n >= p*p
-        if first >= count:
+def _hat_column(ns: np.ndarray, rs: np.ndarray, step: int, primes: Sequence[int]) -> np.ndarray:
+    """hat over the default interval [r + 1, n - r - 1] of each n of a
+    span's column ``ns``, r = isqrt(n - 1) in ``rs``. For d | n, it holds
+    n/d - 2(r // d) - 1 multiples of d, so Euler's product and Moebius
+    inversion give hat = n - 1 - n prod(1 - 1/p) + 2 sum(mu(d) (r // d)),
+    over the primes p | n and the squarefree d > 1 dividing n, all <= r.
+    mu is sieved up to the last r from ``primes``, which reach it. Each d
+    passes over the n = start + k*step it divides from the first n > d*d
+    on, with stride d / gcd(d, step) from k = -start/step (mod the stride);
+    over none if gcd(d, step) does not divide start. A d that hits no n is
+    dropped at once; the passes of the others are one array expression."""
+    start, count, top = int(ns[0]), len(ns), int(rs[-1])
+    mu = np.ones(top + 1, dtype=np.int64)
+    for p in primes:
+        if p > top:
             break
-        if step % p:
-            k, stride = -start * pow(step, -1, p) % p, p
-        elif start % p:
-            continue
-        else:
-            k, stride = 0, 1
-        if k < first:
-            k -= (k - first) // stride * stride
-        for i in range(k, count, stride):
-            sets[i].append(p)
-    return list(map(tuple, sets))
+        mu[::p] *= -1
+        mu[::p * p] = 0
+    passes = []  # (d, first k, stride) of each d dividing some n; 2 divides all
+    for d in (np.flatnonzero(mu[2:]) + 2).tolist():
+        g = math.gcd(d, step)
+        if start % g == 0:
+            stride, first = d // g, max(0, (d * d - start) // step + 1)
+            k = first + (-(start // g) * pow(step // g, -1, stride) - first) % stride
+            if k < count:
+                passes.append((d, k, stride))
+    ds, ks, strides = np.array(passes, dtype=np.int64).T
+    hits = (count - 1 - ks) // strides + 1
+    d = np.repeat(ds, hits)  # one entry per hit: the j-th of a d is at its k + j*stride
+    k = np.repeat(ks, hits) + np.repeat(strides, hits) * (
+        np.arange(len(d)) - np.repeat(hits.cumsum() - hits, hits))
+    total, num, den = np.zeros(count, np.int64), np.ones(count, np.int64), np.ones(count, np.int64)
+    np.add.at(total, k, mu[d] * (rs[k] // d))
+    prime = np.isin(d, primes)
+    np.multiply.at(den, k[prime], d[prime])
+    np.multiply.at(num, k[prime], d[prime] - 1)
+    return ns - 1 - ns // den * num + 2 * total
 
 
 def _bitmap_span(span: tuple[int, int, int]) -> Columns:
     """Pool task: the columns of one span, counted off one odd-only prime
     bitmap up to its last n, which the marking kernel builds from the
     span's one prime table, the primes <= sqrt(last n)
-    (``legendre._odd_prime_flags``). hat comes from inclusion-exclusion
-    over the primes dividing n (``_dividing_primes``), with the signed
-    products of each set of them built once per span; tilde is the
-    rest. The segment sieve re-derives the first and last n, hat check
-    included; a disagreement, or a count no interval can hold, raises.
-    Python ints throughout, so no arithmetic can overflow."""
+    (``legendre._odd_prime_flags``). hat is in closed form
+    (``_hat_column``) and tilde is the rest. One array check raises on a
+    count no interval can hold; then the segment sieve re-derives the
+    first and last n, its hat check included, and a disagreement raises.
+    Every count is below 2^27, so no int64 arithmetic can overflow."""
     start, end, step = span
     small = build_prime_table(math.isqrt(end))
     primes = small.primes.tolist()
     odd = _odd_prime_flags(end, primes)
     rev = odd[::-1].copy()
     buf = np.empty(odd.size // 2 + 1, dtype=bool)
-    # the signed products of each set of dividing primes met in this span,
-    # up to its last n, which covers every interval of the span
-    divisors: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    ns = range(start, end + 1, step)
-    hats, pairs = [], []
-    for n, dividing in zip(ns, _dividing_primes(start, end, step, primes)):
-        a, b = default_interval(n)
-        terms = divisors.get(dividing)
-        if terms is None:
-            terms = divisors[dividing] = _signed_divisors(dividing, end)
-        hat = _hat_inclusion_exclusion(terms, a, b)
-        count = _pair_count(odd, rev, buf, n, a)
-        if count < 0 or hat + count > b - a + 1:
-            raise RuntimeError(f"bitmap counts hat={hat} prime_pairs={count} impossible "
-                               f"over {b - a + 1} positions for n={n}")
-        hats.append(hat)
-        pairs.append(count)
-    for n, hat, count in ((ns[0], hats[0], pairs[0]), (ns[-1], hats[-1], pairs[-1])):
-        want = pair_counts(n, small)
-        if (hat, count) != (want.hat, want.prime_pairs):
-            raise RuntimeError(f"bitmap counts hat={hat} prime_pairs={count} != sieved "
-                               f"hat={want.hat} prime_pairs={want.prime_pairs} for n={n}")
-    return (np.arange(start, end + 1, step, dtype=np.int64), np.array(hats, dtype=np.int64),
-            np.array(pairs, dtype=np.int64))
+    ns = np.arange(start, end + 1, step, dtype=np.int64)
+    rs = np.sqrt(ns - 1).astype(np.int64)  # isqrt(n - 1): exact, as n < 2^52
+    pairs = np.array([_pair_count(odd, rev, buf, n, r + 1)
+                      for n, r in zip(ns.tolist(), rs.tolist())], dtype=np.int64)
+    hats = _hat_column(ns, rs, step, primes)
+    lengths = ns - 2 * rs - 1
+    bad = (pairs < 0) | (hats < 0) | (hats + pairs > lengths)
+    if bad.any():
+        i = bad.argmax()
+        raise RuntimeError(f"bitmap counts hat={hats[i]} prime_pairs={pairs[i]} impossible "
+                           f"over {lengths[i]} positions for n={ns[i]}")
+    for i in (0, -1):
+        want = pair_counts(int(ns[i]), small)
+        if (hats[i], pairs[i]) != (want.hat, want.prime_pairs):
+            raise RuntimeError(f"bitmap counts hat={hats[i]} prime_pairs={pairs[i]} != sieved "
+                               f"hat={want.hat} prime_pairs={want.prime_pairs} for n={ns[i]}")
+    return ns, hats, pairs
 
 
 def _sieve_span(span: tuple[int, int, int]) -> Columns:

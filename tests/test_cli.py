@@ -676,6 +676,21 @@ class TestExitCodes:
         assert err.startswith("error: bitmap counts") and "n=1050" in err
         assert "Traceback" not in err
 
+    def test_negative_hat_inside_a_span_exits_1(self, capsys, monkeypatch):
+        # the closed-form hat of n = 1050 alone turns negative; the sieved
+        # checks at the span's ends do not see it, the span's array check does
+        hat_column = xi._hat_column
+
+        def negative_at_1050(ns, *args):
+            hats = hat_column(ns, *args)
+            hats[ns == 1050] = -1
+            return hats
+        monkeypatch.setattr(xi, "_hat_column", negative_at_1050)
+        code, _, err = run(capsys, "scan-bound", "1000", "1100", "--emit", "csv")
+        assert code == 1
+        assert err.startswith("error: bitmap counts") and "n=1050" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["primecount", "composites"])
     def test_count_oracle_mismatch_exits_1(self, capsys, monkeypatch, command):
         monkeypatch.setattr(oracle, "pi_oracle", lambda table, n: 0)

@@ -108,7 +108,8 @@ class TestVarpi:
 
 
 class TestSubsetProducts:
-    """The one enumerator of signed squarefree products, ``xi._signed_divisors``."""
+    """The signed squarefree products of a set of primes, ``xi._signed_divisors``,
+    which the sieve's hat check and the tilde inclusion-exclusion read."""
 
     def test_pruning(self):
         assert xi._signed_divisors([2, 3], 5) == [(2, 1), (3, 1)]

@@ -677,19 +677,29 @@ class TestIterPairCounts:
         assert streamed == [pair_counts(n, table_20k) for n in range(first, end + 1, step)]
 
     # steps that share every small prime with n (30030), some (6, 3314 =
-    # 2 * 1657) or only 2, and starts on both sides of the squares
+    # 2 * 1657) or only 2, starts on both sides of the squares, the even
+    # squares 64^2 and 66^2 (66 = 2 * 3 * 11 divides 66^2 but exceeds its
+    # r = 65) and n = 30030k, which seven primes divide
     @given(start=st.integers(4, 40000).map(lambda k: 2 * k),
            count=st.integers(1, 300),
            step=st.one_of(st.sampled_from([2, 6, 3314, 30030]),
                           st.integers(1, 5000).map(lambda k: 2 * k)))
     @example(start=8, count=200, step=2)
     @example(start=120, count=3, step=2)  # 11^2 lies between 120 and 122
-    def test_dividing_primes_match_trial_division(self, start, count, step):
+    @example(start=64 * 64, count=4, step=2 * 64 + 2)  # 64^2, then 66^2
+    @example(start=30030, count=40, step=30030)
+    def test_hat_column_matches_inclusion_exclusion(self, start, count, step):
         end = start + (count - 1) * step
         primes = build_prime_table(math.isqrt(end)).primes.tolist()
-        assert xi._dividing_primes(start, end, step, primes) == [
-            tuple(p for p in primes if p * p <= n and n % p == 0)
-            for n in range(start, end + 1, step)]
+        ns = range(start, end + 1, step)
+        want = []
+        for n in ns:
+            a, b = default_interval(n)
+            dividing = [p for p in primes if p * p <= n and n % p == 0]  # trial division
+            want.append(xi._hat_inclusion_exclusion(xi._signed_divisors(dividing, b), a, b))
+        rs = np.array([math.isqrt(n - 1) for n in ns], dtype=np.int64)
+        got = xi._hat_column(np.array(ns, dtype=np.int64), rs, step, primes)
+        assert got.tolist() == want
 
     @pytest.mark.parametrize("bad_n", [1000, 1100])
     def test_sieve_checks_each_span_first_and_last_n(self, monkeypatch, bad_n):
