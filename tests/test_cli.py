@@ -835,10 +835,91 @@ class TestUsage:
         }
         assert flags == expected
 
-    def test_console_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "pairsieve", "primecount", "10"],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0
-        assert proc.stdout == "4\n"
+    def test_console_entry_point(self, capsys):
+        # main(argv=None) reads sys.argv[1:] itself; one argv per command
+        for argv in (("primecount", "10"),
+                     ("composites", "100", "--method", "direct-mark", "--emit", "csv"),
+                     ("goldbach", "100", "--list", "--emit", "json"),
+                     ("scan-bound", "100", "110", "--emit", "csv"),
+                     ("selftest", "--max-n", "100")):
+            proc = subprocess.run([sys.executable, "-m", "pairsieve", *argv],
+                                  capture_output=True, text=True)
+            assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv), argv
+            assert proc.returncode == 0 and proc.stdout, argv
+            if argv == ("primecount", "10"):
+                assert proc.stdout == "4\n"
+
+
+#: argv that ``main`` must parse, word and exit on exactly as the full tree
+#: of ``build_parser`` does, whether the named command's own parser or the
+#: tree reads them
+_USAGE_CORPUS = [
+    ("-h",), ("--help",), (), ("no-such-command",),
+    *[(command, "-h") for command in cli._COMMANDS],
+    # another command's flag after each command
+    ("primecount", "10", "--list"), ("composites", "10", "--workers", "2"),
+    ("goldbach", "100", "--method", "legendre"), ("scan-bound", "100", "104", "--max-n", "5"),
+    ("selftest", "--emit", "csv"),
+    ("primecount", "ten"), ("selftest", "--epsilon", "small"),
+    ("primecount", "10", "--method", "sieve"), ("scan-bound", "100"),
+    ("goldbach", "100", "--o"), ("primecount", "10", "--foo", "--bar"),
+    ("primecount", "10", "--meth", "survivor"), ("primecount", "10", "--method=survivor"),
+    ("primecount", "--", "10"), ("scan-bound", "100", "--", "104"),
+    ("primecount", "10", "-h"), ("-x", "primecount", "10"), ("--", "primecount", "10"),
+    ("goldbach", "100", "--list", "--interval", "10:90", "--emit", "json"),
+]
+
+
+class TestParsing:
+    @pytest.mark.parametrize("argv", _USAGE_CORPUS, ids=lambda argv: " ".join(argv) or "-")
+    def test_main_parses_as_the_full_tree(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # help wraps at the terminal's width
+        handled = []
+        for name in ("cmd_count", "cmd_goldbach", "cmd_scan_bound", "cmd_selftest"):
+            monkeypatch.setattr(cli, name, lambda args, out: handled.append(args) or 0)
+        try:
+            expected, code = [build_parser().parse_args(list(argv))], 0
+        except SystemExit as exc:
+            expected, code = [], exc.code
+        tree = capsys.readouterr()
+        assert run(capsys, *argv) == (code, tree.out, tree.err)
+        assert handled == expected
+
+    @staticmethod
+    def _parsers_made(monkeypatch):
+        made = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        return made
+
+    def test_a_named_command_builds_one_parser(self, capsys, monkeypatch):
+        made = self._parsers_made(monkeypatch)
+        assert run(capsys, "primecount", "10") == (0, "4\n", "")
+        assert made == ["pairsieve primecount"]
+
+    def test_leftover_arguments_get_the_top_level_error(self, capsys, monkeypatch):
+        made = self._parsers_made(monkeypatch)
+        code, out, err = run(capsys, "primecount", "10", "--foo")
+        assert code == 2 and out == ""
+        assert err.startswith("usage: pairsieve [-h] {primecount,composites,")
+        assert err.endswith("\npairsieve: error: unrecognized arguments: --foo\n")
+        assert made == ["pairsieve primecount", "pairsieve",
+                        *(f"pairsieve {command}" for command in cli._COMMANDS)]
+
+    def test_import_builds_no_parser(self):
+        # argparse's first parser imports locale through gettext; importing
+        # the CLI must leave that, and every parser, to the run
+        probe = ("import argparse, sys\n"
+                 "made = []\n"
+                 "init = argparse.ArgumentParser.__init__\n"
+                 "argparse.ArgumentParser.__init__ = "
+                 "lambda *args, **kwargs: made.append(1) or init(*args, **kwargs)\n"
+                 "import pairsieve.cli\n"
+                 "print(len(made), 'locale' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == "0 False\n"
