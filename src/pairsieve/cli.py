@@ -364,23 +364,23 @@ def _one(suite: str, failure: Optional[str]) -> Check:
 def _pair_checks(max_n: int) -> Iterator[Check]:
     """Per even n: the three prime counts and the sieved pair list against
     the oracles, and the partition: the pair count against the list's
-    length, and n against the composites marked from p^2 plus the primes
-    by Legendre's phi plus 1; only the latter reads phi. The composites
-    are n - 1 less the ``"survivor"`` count, which is what
-    ``"direct-mark"`` returns by construction, so the marking from p^2
-    runs once per n. On a sample of n: a separate ``prime_pair_list``
-    call against brute force, and the symmetry x -> n - x, for each prime
-    p of n's basis (``legendre.make_basis``) on class 0 against class
-    n % p, then on the pair list. One prime table serves every count and
+    length. Composites + primes + 1 = n needs no check of its own: with
+    the composites n - 1 less the ``"survivor"`` count, as
+    ``"direct-mark"`` returns them, it holds exactly when ``survivor``
+    equals ``legendre``, and each is checked against the oracle. On a
+    sample of n: a separate ``prime_pair_list`` call against brute force,
+    and the symmetry x -> n - x for each prime p of n's basis
+    (``legendre.make_basis``), class 0 against class n % p; the pair list
+    equals brute force over a symmetric interval, so it is closed under
+    x -> n - x without a check. One prime table serves every count and
     sieve, and one ``pair_counts_and_array`` pass per n, whose survivors
     are made a list here."""
     table = oracle.build_prime_table(max_n)
     sample = set(range(8, max_n + 1, 94)) | {8, 16, 100, max_n - max_n % 2}
     for n in range(8, max_n + 1, 2):
         expected = oracle.pi_oracle(table, n)
-        pi = {method: legendre.prime_count(n, method, table)
-              for method in legendre.PRIME_METHODS}
-        for method, got in pi.items():
+        for method in legendre.PRIME_METHODS:
+            got = legendre.prime_count(n, method, table)
             yield _one("oracle-equivalence", (
                 None if got == expected
                 else f"prime_count({n}, {method}) = {got}, oracle {expected}"))
@@ -392,10 +392,6 @@ def _pair_checks(max_n: int) -> Iterator[Check]:
         yield _one("partition", (
             None if counts.prime_pairs == len(pairs)
             else f"prime_pairs {counts.prime_pairs} != list length {len(pairs)} at n={n}"))
-        composites = n - 1 - pi["survivor"]  # as "direct-mark" counts them
-        total = composites + pi["legendre"] + 1
-        yield _one("partition",
-                   None if total == n else f"composites + primes + 1 = {total} != {n}")
         if n not in sample:
             continue
         # the list half of the same pass as its own public call; kept, with
@@ -411,9 +407,6 @@ def _pair_checks(max_n: int) -> Iterator[Check]:
             yield _one("symmetry", (
                 None if fwd == bwd and theta_sin_shift(n, m, p)
                 else f"divisor-count symmetry broken: n={n}, p={p}, m={m}"))
-        yield _one("symmetry", (
-            None if sorted(n - x for x in pairs) == pairs
-            else f"pair list not closed under x -> n - x at n={n}"))
 
 
 def _words(rng: random.Random, k: int) -> np.ndarray:

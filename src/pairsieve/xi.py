@@ -216,12 +216,14 @@ def _sieve(
 
     The even x are all hat, by p = 2, and are counted in closed form; the
     kernel marks the odd x in the lanes x = wj + r of the wheel w
-    (``legendre._wheel``). One loop over the odd basis primes, written
-    out for each wheel, takes m = n % p, collects the primes dividing n
-    and builds the kernel's passes; for w = 2, one lane, it writes each
-    class's first index: c of p at x = 2i + 1 from i = (c - 1)(p + 1)/2
-    mod p. For w = 30, 15 lanes whose first j comes from
-    ``legendre._lane_marks``, 3 and 5 decide whole lanes: a lane
+    (``legendre._wheel``). One loop over the odd basis primes takes
+    m = n % p and sorts each prime once: a dividing one marks class 0,
+    for hat, any other classes 0 and m, and on w = 30, 3 and 5 decide
+    whole lanes instead. Only the first marks depend on the layout. For
+    w = 2, one lane, the loop writes each class's first index as it
+    reads the basis, c of p at x = 2i + 1 from i = (c - 1)(p + 1)/2 mod
+    p, with no lane set-up per call (README). For w = 30, 15 lanes take
+    their first j from ``legendre._lane_marks``. There a lane
     r = 0 (mod p) of a p | n is all hat, counted in closed form; one in
     class 0 or m of a p not dividing n is all composite, and only class 0
     of the dividing primes above 5 marks it, for its hat. Every other
@@ -247,30 +249,20 @@ def _sieve(
     # primes and classes c, or for the wheel 2 of primes and first i
     dividing, decided = [2], []
     hat_p, hat_c, other_p, other_c = [], [], [], []
-    if wheel == 2:
-        for p in basis.primes[1:]:
-            m = n % p
-            if m:
-                other_p += p, p
-                other_c += p // 2, (m - 1) * (p + 1) // 2 % p
-            else:
-                dividing.append(p)
-                hat_p.append(p)
-                hat_c.append(p // 2)
-    else:
-        for p in basis.primes[1:]:
-            m = n % p
-            if not m:
-                dividing.append(p)
-            if p < 7:  # 3 and 5
-                decided.append((p, m))
-            elif m:
-                other_p += p, p
-                other_c += 0, m
-            else:
-                hat_p.append(p)
-                hat_c.append(0)
-    if wheel > 2:  # each lane's first j, one array expression per lane
+    odd_lane = wheel == 2
+    for p in basis.primes[1:]:
+        m = n % p
+        if not m:
+            dividing.append(p)
+        if p < 7 and not odd_lane:  # 3 and 5 decide whole lanes of the wheel 30
+            decided.append((p, m))
+        elif m:
+            other_p += p, p
+            other_c += (p // 2, (m - 1) * (p + 1) // 2 % p) if odd_lane else (0, m)
+        else:
+            hat_p.append(p)
+            hat_c.append(p // 2 if odd_lane else 0)
+    if not odd_lane:  # each lane's first j, one array expression per lane
         lane_hat, lane_other = _lane_marks(hat_p, hat_c), _lane_marks(other_p, other_c)
     hat = composite = 0
     dtype = np.int32 if n < 2**31 else np.int64
@@ -283,13 +275,13 @@ def _sieve(
             hat += size
             composite += size
             continue
-        passes = [(hat_p, hat_c) if wheel == 2 else lane_hat(r)]
+        passes = [(hat_p, hat_c) if odd_lane else lane_hat(r)]
         if decided and any(r % p in (0, m) for p, m in decided):
             composite += size
             if hat_p:
                 hat += sum(counts[0] for _, _, counts in _mark_blocks(j0, j1, passes, block_size))
             continue
-        passes.append((other_p, other_c) if wheel == 2 else lane_other(r))
+        passes.append((other_p, other_c) if odd_lane else lane_other(r))
         for start, marked, counts in _mark_blocks(j0, j1, passes, block_size):
             hat += counts[0]
             composite += counts[-1]
@@ -314,7 +306,7 @@ def _sieve(
             survivors[:half] = chunks[0]
         elif chunks:
             np.concatenate(chunks, out=survivors[:half])
-        if wheel > 2:  # one lane is ascending already
+        if not odd_lane:  # one lane is ascending already
             survivors[:half].sort()
         np.subtract(n, survivors[:mirrored][::-1], out=survivors[half:])
     evens = b // 2 - (a - 1) // 2
@@ -459,8 +451,7 @@ def pair_counts_and_array(
 
 def bound_value(n: int) -> float:
     """(n - 4*sqrt(n)) / ln(n - sqrt(n))^2 with real square roots."""
-    if n < 26 or n % 2 != 0:
-        raise ValueError(f"n must be an even integer >= 26, got {n}")
+    _require_even(n, 26)
     root = math.sqrt(n)
     return (n - 4.0 * root) / math.log(n - root) ** 2
 
@@ -482,16 +473,16 @@ def _bound_row(n: int, prime_pairs: int) -> tuple[float, float, bool]:
 #: bitmap work there: at 2^29 positions it is under a tenth of the span.
 _SPAN_POSITIONS = 1 << 29
 
-#: Largest ``end`` for which a scan reads pair counts off a prime bitmap.
+#: Largest last n of a span that reads its pair counts off a prime bitmap.
 #: A span's bitmap holds about 1.25 bytes per integer up to its last n
 #: (the odd-only flags, their reverse and an AND buffer). The marking
 #: kernel builds the flags in place, with two blocks of about 1 MB
 #: beside them, so the build peaks near 0.5 bytes per integer and the
 #: 1.25 is the peak: 160 MiB per process at 2^27, where a 21-n scan
 #: ending at 2^27 read a VmHWM of 190 MiB (279 MiB when the flags were
-#: copied out of an Eratosthenes table of a byte per integer). Above
-#: this constant every n is sieved instead, in O(sqrt(n) + block)
-#: memory, so a scan's memory stays bounded whatever its end.
+#: copied out of an Eratosthenes table of a byte per integer). A span
+#: ending above this constant sieves each of its n instead, in
+#: O(sqrt(n) + block) memory, so a scan's memory stays bounded whatever its end.
 _BITMAP_MAX_END = 1 << 27
 
 
@@ -601,6 +592,12 @@ def _sieve_span(span: tuple[int, int, int]) -> Columns:
             np.array([r.prime_pairs for r in records], dtype=np.int64))
 
 
+def _span_task(span: tuple[int, int, int]) -> Columns:
+    """Pool task: the columns of one span, off a bitmap while its last n
+    is at most ``_BITMAP_MAX_END``, else sieved n by n."""
+    return (_bitmap_span if span[1] <= _BITMAP_MAX_END else _sieve_span)(span)
+
+
 def _spans(start: int, end: int, step: int) -> list[tuple[int, int, int]]:
     """(first n, last n, step) per span: runs of consecutive n whose bitmap
     positions reach ``_SPAN_POSITIONS``; the last may be short."""
@@ -669,10 +666,10 @@ def iter_pair_counts(
 
     The n are cut into spans of about ``_SPAN_POSITIONS`` bitmap
     positions, each counted off its own prime bitmap and checked by the
-    sieve at its first and last n (every n is sieved when ``end`` exceeds
-    ``_BITMAP_MAX_END``). A scan of fewer than two spans, or with one
-    worker process, runs in this process; otherwise a pool of ``workers``
-    processes, clamped to the CPU count, takes the spans.
+    sieve at its first and last n (every n of a span is sieved when its
+    last n exceeds ``_BITMAP_MAX_END``). A scan of fewer than two spans,
+    or with one worker process, runs in this process; otherwise a pool of
+    ``workers`` processes, clamped to the CPU count, takes the spans.
     """
     _validate_scan_range(start, end, step, minimum=8)
     for ns, hats, pairs in _span_columns(start, end, step, workers):
@@ -685,14 +682,13 @@ def _span_columns(start: int, end: int, step: int, workers: int) -> Iterator[Col
     """The columns of each span of the scan that ``iter_pair_counts``
     describes, in ascending n."""
     spans = _spans(start, end, step)
-    task = _bitmap_span if end <= _BITMAP_MAX_END else _sieve_span
     workers = _pool_size(workers)
     if workers == 1 or len(spans) < 2:
         for span in spans:
-            yield task(span)
+            yield _span_task(span)
         return
     # imported here, so that loading the package never loads multiprocessing
     from multiprocessing import Pool
 
     with Pool(workers) as pool:
-        yield from pool.imap(task, spans)
+        yield from pool.imap(_span_task, spans)

@@ -348,7 +348,7 @@ _PINNED_STDOUT = {
     "composites 100000 --method direct-mark --emit csv":
         "780ab42c219514ec1d57d68cce89bc086d853dbd571ce78d4050f32fc3c265ba",
     "selftest --max-n 300":
-        "ccc3502b043109438817a9caf26739d3f92903fea9cbead56c2415d29ebef117",
+        "3dd7d98b7d98ed3f558dc43c75c727998666e070a3c2c96b73c7578e3e7c8181",
     # counts below n = 13^2, where wheel primes lie above sqrt(n)
     "primecount 168 --method theta-sum":
         "eedb85ab90d324a555a45560d75c88cecf23721990c3b6353697d707e6465c74",
@@ -387,7 +387,7 @@ _PINNED_STDOUT = {
     "primecount 29926584 --method theta-sum":
         "1d0a3dd6de29523dbc37f94cc2362f83ad0fa690261018e0844a5f469d9d7c23",
     "selftest --max-n 2000":
-        "f5a93800ea9a32aa0e8a879e9c2a8fb9b227d3bdc01b6569244a720e09df45be",
+        "daaeff7dd4d9feee1c1912a7057d65cfec92ebdd6df2e3802eadae971982faae",
 }
 
 
@@ -490,16 +490,18 @@ class TestSelftest:
                          out, re.M)
 
     def test_partition_is_a_cross_check(self, capsys, monkeypatch):
-        # with phi one too high, Legendre's prime count is one too high and
-        # its composite count one too low, so their sum still holds; the
-        # composites marked from p^2 do not read phi
+        # with phi one too high, Legendre's prime count is one too high
+        # against the oracle; composites + primes + 1 = n holds exactly when
+        # survivor equals legendre, so that check is the partition's
+        # cross-check, and the partition suite, which reads no phi, stays ok
         phi = legendre._phi
         monkeypatch.setattr(legendre, "_phi", lambda *args: phi(*args) + 1)
         code, out, _ = run(capsys, "selftest", "--max-n", "100")
         assert code == 1
-        assert re.search(r"^partition: \d+ checks, [1-9]\d* failures \[FAIL\]\n"
-                         r"  first counterexample: composites \+ primes \+ 1 = 9 != 8$",
+        assert re.search(r"^oracle-equivalence: \d+ checks, [1-9]\d* failures \[FAIL\]\n"
+                         r"  first counterexample: prime_count\(8, legendre\) = 5, oracle 4$",
                          out, re.M)
+        assert re.search(r"^partition: \d+ checks, 0 failures \[ok\]$", out, re.M)
 
     def test_one_count_from_squares_per_n(self, capsys, monkeypatch):
         # per n, theta-sum marks from p and survivor from p^2, and the
@@ -526,8 +528,7 @@ class TestSelftest:
 
     def test_count_from_squares_is_cross_checked(self, capsys, monkeypatch):
         # with the count marked from p^2 one too high, survivor is one too
-        # low against the oracle, and the composites that the partition
-        # reads off it one too high; no other suite reads that count
+        # low against the oracle; no other suite reads that count
         marked = legendre._marked_count
         monkeypatch.setattr(legendre, "_marked_count", lambda n, primes, from_squares=False:
                             marked(n, primes, from_squares) + from_squares)
@@ -536,10 +537,7 @@ class TestSelftest:
         assert re.search(r"^oracle-equivalence: \d+ checks, [1-9]\d* failures \[FAIL\]\n"
                          r"  first counterexample: prime_count\(8, survivor\) = 3, oracle 4$",
                          out, re.M)
-        assert re.search(r"^partition: \d+ checks, [1-9]\d* failures \[FAIL\]\n"
-                         r"  first counterexample: composites \+ primes \+ 1 = 9 != 8$",
-                         out, re.M)
-        for suite in ("symmetry", "identity", "float-exact-agreement"):
+        for suite in ("partition", "symmetry", "identity", "float-exact-agreement"):
             assert re.search(rf"^{suite}: \d+ checks, 0 failures \[ok\]$", out, re.M), suite
 
     def test_below_minimum(self, capsys):

@@ -107,37 +107,6 @@ class TestVarpi:
             varpi_pq(n, p, q)
 
 
-class TestSubsetProducts:
-    """The signed squarefree products of a set of primes, ``xi._signed_divisors``,
-    which the sieve's hat check and the tilde inclusion-exclusion read."""
-
-    def test_pruning(self):
-        assert xi._signed_divisors([2, 3], 5) == [(2, 1), (3, 1)]
-
-    def test_four_primes_bound_100(self):
-        got = xi._signed_divisors([2, 3, 5, 7], 100)
-        assert len(got) == 13
-        # the two pruned subsets are exactly those overflowing the bound
-        assert 105 not in [d for d, _ in got] and 210 not in [d for d, _ in got]
-
-    def test_unbounded_yields_full_powerset(self):
-        primes = [2, 3, 5, 7, 11, 13]
-        got = xi._signed_divisors(primes, 10**9)
-        assert len(got) == 2 ** len(primes) - 1
-        assert len({d for d, _ in got}) == len(got)
-
-    def test_factor_counts_are_consistent(self):
-        primes = [2, 3, 5, 7, 11]
-        for d, sign in xi._signed_divisors(primes, 10**6):
-            k = sum(d % p == 0 for p in primes)
-            assert d >= 2**k  # k distinct primes, each >= 2
-            assert sign == (1 if k % 2 else -1)
-
-    def test_deterministic(self):
-        a = xi._signed_divisors([2, 3, 5, 7], 100)
-        assert a == xi._signed_divisors([2, 3, 5, 7], 100)
-
-
 class TestCompositeCount:
     def test_examples(self):
         assert composite_count(10) == 5

@@ -322,6 +322,37 @@ class TestWheelLanes:
             assert small[2].tolist() == pairs.tolist()
 
 
+class TestSubsetProducts:
+    """The signed squarefree products of a set of primes, ``xi._signed_divisors``,
+    which the sieve's hat check and the tilde inclusion-exclusion read."""
+
+    def test_pruning(self):
+        assert xi._signed_divisors([2, 3], 5) == [(2, 1), (3, 1)]
+
+    def test_four_primes_bound_100(self):
+        got = xi._signed_divisors([2, 3, 5, 7], 100)
+        assert len(got) == 13
+        # the two pruned subsets are exactly those overflowing the bound
+        assert 105 not in [d for d, _ in got] and 210 not in [d for d, _ in got]
+
+    def test_unbounded_yields_full_powerset(self):
+        primes = [2, 3, 5, 7, 11, 13]
+        got = xi._signed_divisors(primes, 10**9)
+        assert len(got) == 2 ** len(primes) - 1
+        assert len({d for d, _ in got}) == len(got)
+
+    def test_factor_counts_are_consistent(self):
+        primes = [2, 3, 5, 7, 11]
+        for d, sign in xi._signed_divisors(primes, 10**6):
+            k = sum(d % p == 0 for p in primes)
+            assert d >= 2**k  # k distinct primes, each >= 2
+            assert sign == (1 if k % 2 else -1)
+
+    def test_deterministic(self):
+        a = xi._signed_divisors([2, 3, 5, 7], 100)
+        assert a == xi._signed_divisors([2, 3, 5, 7], 100)
+
+
 class TestHatTilde:
     def test_hat_examples(self, table_20k):
         assert pair_counts(100, table_20k).hat == 49
@@ -738,6 +769,24 @@ class TestIterPairCounts:
             [pair_counts(n, table_20k) for n in range(900, 1003, 2)]
         with pytest.raises(AssertionError, match="bitmap read"):
             list(iter_pair_counts(900, 1000))
+
+    def test_engine_chosen_per_span_of_a_straddling_scan(self, monkeypatch, table_20k):
+        # spans of about a dozen n, the last several above the end
+        # constant: each span at or below it still reads the bitmap, and
+        # only those above sieve every n
+        read = []
+        pair_count = xi._pair_count
+        monkeypatch.setattr(xi, "_pair_count", lambda odd, rev, buf, n, a:
+                            read.append(n) or pair_count(odd, rev, buf, n, a))
+        monkeypatch.setattr(xi, "_SPAN_POSITIONS", 3000)
+        monkeypatch.setattr(xi, "_BITMAP_MAX_END", 1000)
+        spans = xi._spans(900, 1100, 2)
+        below = [n for first, last, step in spans if last <= 1000
+                 for n in range(first, last + 1, step)]
+        assert len(below) > 12 and spans[-1][0] > 1000
+        assert list(iter_pair_counts(900, 1100)) == \
+            [pair_counts(n, table_20k) for n in range(900, 1101, 2)]
+        assert read == below
 
     def test_interleaved_generators_are_independent(self, table_20k):
         # a second scan started while the first is suspended must not
