@@ -23,8 +23,8 @@ In a fresh process that takes ``main(["primecount", "10"])`` from 2.4 to
 (``BENCH_27.json``). What is left is mostly argparse's own first use:
 gettext's import of locale and argparse's regex compiles.
 
-Exit codes: 0 success, 1 verification or bound failure, 2 usage error or
-out of memory.
+Exit codes: 0 success, 1 verification or bound failure, 2 usage error,
+out of memory, or output that cannot be written.
 CSV and JSON-lines output is byte-deterministic for identical inputs,
 independent of --workers.
 """
@@ -309,8 +309,6 @@ def cmd_scan_bound(args: argparse.Namespace, out: IO[str]) -> int:
     # the range is checked at the call, before the csv header, so that a
     # rejected range writes nothing
     columns = xi.scan_columns(args.start, args.end, args.step, workers=args.workers)
-    if args.workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     summary = xi.ScanSummary()
     if args.emit == "csv":
         print("n,prime_pairs,hat,tilde,interval_len,bound,margin,holds", file=out)
@@ -519,14 +517,18 @@ def cmd_selftest(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 class _OutFile:
-    """``--out FILE``, opened for writing, and so emptied, at the first
-    write: a command that rejects its arguments before writing leaves
-    FILE as it was. A FILE that cannot be opened is a usage error, found
-    here, before the command's work, without making or emptying FILE."""
+    """A command's output: ``--out FILE``, or stdout where ``path`` is
+    None or empty. FILE is opened for writing, and so emptied, at the first write:
+    a command that rejects its arguments before writing leaves FILE as it
+    was. A FILE that cannot be opened is a usage error, found here, before
+    the command's work, without making or emptying FILE. A write or close
+    that fails, to FILE or to stdout, is the same usage error."""
 
-    def __init__(self, path: str) -> None:
+    def __init__(self, path: str | None) -> None:
         self.path = path
-        self.file: IO[str] | None = None
+        self.file: IO[str] | None = None if path else sys.stdout
+        if not path:
+            return
         try:
             if os.path.isfile(path) or os.path.isdir(path):
                 os.close(os.open(path, os.O_WRONLY))  # no O_CREAT, no O_TRUNC
@@ -539,19 +541,28 @@ class _OutFile:
             # a FIFO is left to the first write: a second open and close here
             # would end its reader's input before any record is written
         except OSError as exc:
-            raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+            raise self._failed(exc) from None
+
+    def _failed(self, exc: OSError) -> ValueError:
+        return ValueError(f"cannot write {self.path or 'stdout'}: {exc.strerror}")
 
     def write(self, text: str) -> int:
-        if self.file is None:
-            try:
+        try:
+            if self.file is None:
                 self.file = open(self.path, "w", encoding="utf-8", newline="\n")
-            except OSError as exc:
-                raise ValueError(f"cannot write {self.path}: {exc.strerror}") from None
-        return self.file.write(text)
+            return self.file.write(text)
+        except OSError as exc:
+            raise self._failed(exc) from None
 
     def close(self) -> None:
-        if self.file is not None:
-            self.file.close()
+        """Close FILE, or flush stdout, so that a failure is raised here."""
+        try:
+            if not self.path:
+                self.file.flush()
+            elif self.file is not None:
+                self.file.close()
+        except OSError as exc:
+            raise self._failed(exc) from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -559,12 +570,14 @@ def main(argv: list[str] | None = None) -> int:
         args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    opened = None
     try:
         if getattr(args, "oracle_check", False) and args.n > _ORACLE_MAX_N:
             raise ValueError(f"--oracle-check needs n <= {_ORACLE_MAX_N}, got {args.n}")
-        opened = _OutFile(args.out) if args.out else None
-        return args.func(args, opened or sys.stdout)
+        out = _OutFile(args.out)
+        try:
+            return args.func(args, out)
+        finally:  # inside the try, so that a failed close is reported
+            out.close()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -574,10 +587,16 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print(f"error: out of memory running {args.command}", file=sys.stderr)
         return 2
-    finally:
-        if opened is not None:
-            opened.close()
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """``main`` on ``sys.argv``. Where ``main`` could not write stdout,
+    the bytes it buffered would fail the interpreter's final flush, with
+    an ``Exception ignored`` line and exit 120; so, as the ``signal``
+    module's note on SIGPIPE does, fd 1 is pointed at ``os.devnull`` first."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

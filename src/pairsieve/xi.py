@@ -26,15 +26,16 @@ is hat if an odd basis prime divides n, never tilde, and a survivor
 otherwise. A scan's record for each n compares its survivor count with
 the analytic lower bound (n - 4*sqrt(n)) / ln^2(n - sqrt(n)).
 
-Over the default interval the survivors are exactly the prime pairs, so
-a scan over many n reads their counts off one shared prime bitmap (an
-AND of the odd flags with their reverse), takes hat in closed form,
-Euler's product and a Moebius sum with one strided pass per squarefree
-d <= sqrt(last n) over a span's n, and tilde as the rest. One array
-check rejects a count no interval can hold, and the sieve verifies each
-span's first and last n. The same kernel marks the flags, in the odd
-layout from the wheel's blank, so a span's one table is the primes up to
-the square root of its last n. A span's result is three int64 columns,
+Over the default interval the survivors are exactly the prime pairs. A
+scan cuts its n into spans, each counted from one table, the primes up
+to the square root of its last n. hat is in closed form, Euler's product
+and a Moebius sum with one strided pass per squarefree d <= sqrt(last n)
+over the span's n, and tilde is the rest. Only the pairs' source depends
+on the last n: up to ``_BITMAP_MAX_END``, one prime bitmap (an AND of the
+kernel's odd flags with their reverse), the sieve verifying the first and
+last n; above it, the sieve at every n, whose own hat checks the closed
+form at each. One array check rejects a count no interval can hold. A
+span's result is three int64 columns,
 n, hat and prime_pairs, which is all that crosses a process boundary:
 the records (``PairCounts``) are built where a caller iterates them, and
 ``scan-bound`` formats the columns themselves.
@@ -463,8 +464,8 @@ def _bound_row(n: int, prime_pairs: int) -> tuple[float, float, bool]:
 
 
 # ---------------------------------------------------------------------------
-# scanning: columns of counts per span, off one prime bitmap each, the
-# sieve as the verifier; optionally parallel over spans, always ascending
+# scanning: columns of counts per span, the sieve as the verifier;
+# optionally parallel over spans, always ascending
 # ---------------------------------------------------------------------------
 
 #: Bitmap positions a span of a scan covers at least, summed over its n
@@ -479,9 +480,8 @@ _SPAN_POSITIONS = 1 << 29
 #: kernel builds the flags in place, with two blocks of about 1 MB
 #: beside them, so the build peaks near 0.5 bytes per integer and the
 #: 1.25 is the peak: 160 MiB per process at 2^27, where a 21-n scan
-#: ending at 2^27 read a VmHWM of 190 MiB (279 MiB when the flags were
-#: copied out of an Eratosthenes table of a byte per integer). A span
-#: ending above this constant sieves each of its n instead, in
+#: ending at 2^27 read a VmHWM of 190 MiB. A span ending above this
+#: constant sieves each of its n for the pair column instead, in
 #: O(sqrt(n) + block) memory, so a scan's memory stays bounded whatever its end.
 _BITMAP_MAX_END = 1 << 27
 
@@ -548,54 +548,47 @@ def _hat_column(ns: np.ndarray, rs: np.ndarray, step: int, primes: Sequence[int]
     return ns - 1 - ns // den * num + 2 * total
 
 
-def _bitmap_span(span: tuple[int, int, int]) -> Columns:
-    """Pool task: the columns of one span, counted off one odd-only prime
-    bitmap up to its last n, which the marking kernel builds from the
-    span's one prime table, the primes <= sqrt(last n)
-    (``legendre._odd_prime_flags``). hat is in closed form
-    (``_hat_column``) and tilde is the rest. One array check raises on a
-    count no interval can hold; then the segment sieve re-derives the
-    first and last n, its hat check included, and a disagreement raises.
-    Every count is below 2^27, so no int64 arithmetic can overflow."""
+def _span_task(span: tuple[int, int, int]) -> Columns:
+    """Pool task: the columns of one span, from its one prime table, the
+    primes <= sqrt(last n). hat is in closed form (``_hat_column``) and
+    tilde is the rest. Only the pair column's source depends on the last
+    n: at most ``_BITMAP_MAX_END``, an odd-only prime bitmap up to it,
+    which the marking kernel builds from the table
+    (``legendre._odd_prime_flags``), and the segment sieve re-derives the
+    first and last n; above it, the sieve counts every n. One array check
+    raises on a count no interval can hold; then each sieved record, its
+    hat check included, is compared with the columns, and a disagreement
+    raises. Every count is below n, so no int64 arithmetic can overflow."""
     start, end, step = span
     small = build_prime_table(math.isqrt(end))
     primes = small.primes.tolist()
-    odd = _odd_prime_flags(end, primes)
-    rev = odd[::-1].copy()
-    buf = np.empty(odd.size // 2 + 1, dtype=bool)
     ns = np.arange(start, end + 1, step, dtype=np.int64)
     rs = np.sqrt(ns - 1).astype(np.int64)  # isqrt(n - 1): exact, as n < 2^52
-    pairs = np.array([_pair_count(odd, rev, buf, n, r + 1)
-                      for n, r in zip(ns.tolist(), rs.tolist())], dtype=np.int64)
+    engine = "bitmap" if end <= _BITMAP_MAX_END else "closed-form"
+    if engine == "bitmap":
+        odd = _odd_prime_flags(end, primes)
+        rev = odd[::-1].copy()
+        buf = np.empty(odd.size // 2 + 1, dtype=bool)
+        pairs = np.array([_pair_count(odd, rev, buf, n, r + 1)
+                          for n, r in zip(ns.tolist(), rs.tolist())], dtype=np.int64)
+        checked = sorted({0, len(ns) - 1})
+        sieved = [pair_counts(int(ns[i]), small) for i in checked]
+    else:
+        checked = range(len(ns))
+        sieved = [pair_counts(n, small) for n in ns.tolist()]
+        pairs = np.array([r.prime_pairs for r in sieved], dtype=np.int64)
     hats = _hat_column(ns, rs, step, primes)
     lengths = ns - 2 * rs - 1
     bad = (pairs < 0) | (hats < 0) | (hats + pairs > lengths)
     if bad.any():
         i = bad.argmax()
-        raise RuntimeError(f"bitmap counts hat={hats[i]} prime_pairs={pairs[i]} impossible "
+        raise RuntimeError(f"{engine} counts hat={hats[i]} prime_pairs={pairs[i]} impossible "
                            f"over {lengths[i]} positions for n={ns[i]}")
-    for i in (0, -1):
-        want = pair_counts(int(ns[i]), small)
+    for i, want in zip(checked, sieved):
         if (hats[i], pairs[i]) != (want.hat, want.prime_pairs):
-            raise RuntimeError(f"bitmap counts hat={hats[i]} prime_pairs={pairs[i]} != sieved "
+            raise RuntimeError(f"{engine} counts hat={hats[i]} prime_pairs={pairs[i]} != sieved "
                                f"hat={want.hat} prime_pairs={want.prime_pairs} for n={ns[i]}")
     return ns, hats, pairs
-
-
-def _sieve_span(span: tuple[int, int, int]) -> Columns:
-    """Pool task: the columns of one span, every n through the segment sieve."""
-    start, end, step = span
-    table = build_prime_table(math.isqrt(end))
-    records = [pair_counts(n, table) for n in range(start, end + 1, step)]
-    return (np.arange(start, end + 1, step, dtype=np.int64),
-            np.array([r.hat for r in records], dtype=np.int64),
-            np.array([r.prime_pairs for r in records], dtype=np.int64))
-
-
-def _span_task(span: tuple[int, int, int]) -> Columns:
-    """Pool task: the columns of one span, off a bitmap while its last n
-    is at most ``_BITMAP_MAX_END``, else sieved n by n."""
-    return (_bitmap_span if span[1] <= _BITMAP_MAX_END else _sieve_span)(span)
 
 
 def _spans(start: int, end: int, step: int) -> list[tuple[int, int, int]]:
@@ -612,24 +605,27 @@ def _spans(start: int, end: int, step: int) -> list[tuple[int, int, int]]:
 
 
 def _pool_size(workers: int) -> int:
-    """Worker processes actually started: more than one per CPU this
-    process may run on only adds contention, so the request is clamped,
-    never rejected. The CPUs are the affinity set where the platform has
-    one, else all of them."""
+    """Worker processes actually started for ``workers`` >= 1: more than
+    one per CPU this process may run on only adds contention, so the
+    request is clamped to them. The CPUs are the affinity set where the
+    platform has one, else all of them."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return max(1, min(workers, cpus))
+    return min(workers, cpus)
 
 
-def _validate_scan_range(start: int, end: int, step: int, minimum: int) -> None:
+def _validate_scan_range(start: int, end: int, step: int, minimum: int, workers: int) -> None:
+    """The one check of a scan's arguments: its range, then ``workers``."""
     if start % 2 or end % 2:
         raise ValueError(f"start and end must be even, got {start}, {end}")
     if not minimum <= start <= end:
         raise ValueError(f"need {minimum} <= start <= end, got start={start}, end={end}")
     if step < 2 or step % 2:
         raise ValueError(f"step must be a positive even integer, got {step}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 def scan_bounds(
@@ -641,7 +637,7 @@ def scan_bounds(
     Use ``ScanSummary.add`` on the stream for the aggregate (minimum
     margin, violation count).
     """
-    _validate_scan_range(start, end, step, minimum=26)
+    _validate_scan_range(start, end, step, minimum=26, workers=workers)
     return iter_pair_counts(start, end, step, workers=workers)
 
 
@@ -652,7 +648,7 @@ def scan_columns(
     arrays n, hat and prime_pairs of its records, whose interval is each
     n's default one. The range is checked at the call, as there.
     """
-    _validate_scan_range(start, end, step, minimum=26)
+    _validate_scan_range(start, end, step, minimum=26, workers=workers)
     return _span_columns(start, end, step, workers)
 
 
@@ -665,13 +661,15 @@ def iter_pair_counts(
     records are built in this process from its columns.
 
     The n are cut into spans of about ``_SPAN_POSITIONS`` bitmap
-    positions, each counted off its own prime bitmap and checked by the
-    sieve at its first and last n (every n of a span is sieved when its
-    last n exceeds ``_BITMAP_MAX_END``). A scan of fewer than two spans,
-    or with one worker process, runs in this process; otherwise a pool of
-    ``workers`` processes, clamped to the CPU count, takes the spans.
+    positions, each with hat in closed form and its pair counts off its
+    own prime bitmap, checked by the sieve at its first and last n; a
+    span whose last n exceeds ``_BITMAP_MAX_END`` sieves every n instead.
+    ``workers`` < 1 raises ``ValueError`` at the first ``next``. A scan of
+    fewer than two spans, or with one worker process, runs in this
+    process; otherwise a pool of ``workers`` processes, clamped to the
+    CPU count, takes the spans.
     """
-    _validate_scan_range(start, end, step, minimum=8)
+    _validate_scan_range(start, end, step, minimum=8, workers=workers)
     for ns, hats, pairs in _span_columns(start, end, step, workers):
         for n, hat, count in zip(ns.tolist(), hats.tolist(), pairs.tolist()):
             a, b = default_interval(n)
@@ -684,8 +682,7 @@ def _span_columns(start: int, end: int, step: int, workers: int) -> Iterator[Col
     spans = _spans(start, end, step)
     workers = _pool_size(workers)
     if workers == 1 or len(spans) < 2:
-        for span in spans:
-            yield _span_task(span)
+        yield from map(_span_task, spans)
         return
     # imported here, so that loading the package never loads multiprocessing
     from multiprocessing import Pool

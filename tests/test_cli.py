@@ -717,10 +717,43 @@ class TestExitCodes:
     def test_memory_error_exits_2(self, capsys, monkeypatch):
         def out_of_memory(*args, **kwargs):
             raise MemoryError
-        monkeypatch.setattr(cli.xi, "_bitmap_span", out_of_memory)
+        monkeypatch.setattr(cli.xi, "_span_task", out_of_memory)
         code, _, err = run(capsys, "scan-bound", "100", "104")
         assert code == 2
         assert err.startswith("error: out of memory") and "Traceback" not in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_out_file_exits_2(self):
+        # the write is buffered, so the failure comes at the close
+        proc = subprocess.run([sys.executable, "-m", "pairsieve", "primecount", "10",
+                               "--out", "/dev/full"], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: cannot write /dev/full: No space left on device\n"
+
+    # the reader leaves after the first bytes, as head does
+    @pytest.mark.parametrize("argv", [("goldbach", "19429410", "--list"),
+                                      ("scan-bound", "10000", "200000", "--emit", "csv")])
+    def test_closed_stdout_exits_2(self, argv):
+        proc = subprocess.Popen([sys.executable, "-m", "pairsieve", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(proc.stdout.read(20)) == 20
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        # no traceback, and no "Exception ignored" with exit 120 from the
+        # interpreter's final flush
+        assert (proc.wait(), err) == (2, "error: cannot write stdout: Broken pipe\n")
+
+    def test_closed_stdout_in_process_leaves_fd_1(self, capsys, monkeypatch):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        fd_1 = os.fstat(1)
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(["primecount", "10"]) == 2
+        assert capsys.readouterr().err == "error: cannot write stdout: Broken pipe\n"
+        assert os.path.samestat(os.fstat(1), fd_1)
 
 
 class TestUsage:
@@ -732,7 +765,7 @@ class TestUsage:
 
     def test_bad_workers(self, capsys):
         code, _, err = run(capsys, "scan-bound", "100", "104", "--workers", "0")
-        assert code == 2 and "--workers" in err
+        assert (code, err) == (2, "error: workers must be >= 1, got 0\n")
 
     @pytest.mark.parametrize("argv", [
         ("primecount", "10", "--mode", "float"),

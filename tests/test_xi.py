@@ -748,7 +748,7 @@ class TestIterPairCounts:
                             lambda odd, rev, buf, n, a: pair_count(odd, rev, buf, n, a)
                             + (n == 1096))
         with pytest.raises(RuntimeError, match="bitmap counts .*n=1096"):
-            xi._bitmap_span((1000, 1098, 4))
+            xi._span_task((1000, 1098, 4))
 
     def test_small_scan_starts_no_pool(self, monkeypatch):
         def no_pool(*args):
@@ -769,6 +769,27 @@ class TestIterPairCounts:
             [pair_counts(n, table_20k) for n in range(900, 1003, 2)]
         with pytest.raises(AssertionError, match="bitmap read"):
             list(iter_pair_counts(900, 1000))
+
+    def test_closed_form_checked_at_every_n_above_the_end_constant(self, monkeypatch):
+        # n = 950 is neither end of the span; above the end constant the
+        # sieve counts every n, and its hat checks the closed form at each
+        hat_column = xi._hat_column
+
+        def one_off_at_950(ns, *args):
+            return hat_column(ns, *args) + (ns == 950)
+        monkeypatch.setattr(xi, "_BITMAP_MAX_END", 1000)
+        monkeypatch.setattr(xi, "_hat_column", one_off_at_950)
+        with pytest.raises(RuntimeError, match="closed-form counts .* != sieved .*n=950"):
+            list(iter_pair_counts(900, 1002))
+
+    def test_workers_below_one_rejected(self):
+        # scan_columns checks at the call; iter_pair_counts, a generator
+        # function, at the first next()
+        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+            xi.scan_columns(100, 110, workers=0)
+        scan = iter_pair_counts(100, 110, workers=0)
+        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+            next(scan)
 
     def test_engine_chosen_per_span_of_a_straddling_scan(self, monkeypatch, table_20k):
         # spans of about a dozen n, the last several above the end
@@ -814,13 +835,14 @@ class TestIterPairCounts:
                                 text=True, check=True)
         assert result.stdout == "False\n"
 
-    def test_pickled_record_holds_only_the_counts(self, table_20k):
+    def test_pickled_record_holds_only_the_counts(self, monkeypatch, table_20k):
         # a pool task's result reaches the scan's parent by pickle: the n,
         # hat and prime_pairs columns of its span, and nothing derived;
-        # both tasks give that one shape
+        # the task gives that one shape on both sides of the end constant
         records = [pair_counts(n, table_20k) for n in range(1000, 1011, 2)]
-        for task in (xi._bitmap_span, xi._sieve_span):
-            back = pickle.loads(pickle.dumps(task((1000, 1010, 2))))
+        for end_constant in (1010, 1008):
+            monkeypatch.setattr(xi, "_BITMAP_MAX_END", end_constant)
+            back = pickle.loads(pickle.dumps(xi._span_task((1000, 1010, 2))))
             assert type(back) is tuple and len(back) == 3
             assert all(type(c) is np.ndarray and c.dtype == np.int64 and c.shape == (6,)
                        for c in back)
