@@ -1,10 +1,17 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import pairsieve
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def test_exports_resolve():
@@ -76,3 +83,37 @@ def test_every_export_has_a_caller():
         module = importlib.import_module(f"pairsieve.{info.name}")
         idle = [name for name in module.__all__ if name not in used]
         assert not idle, (info.name, idle)
+
+
+def _run_clean(code: str, **extra: str) -> str:
+    """stdout of ``python -c code`` in an environment with none of the
+    BLAS thread variables but those given."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(extra)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_import_starts_no_blas_thread():
+    # pairsieve makes no BLAS call: numpy loads with one OpenBLAS thread,
+    # and the variable that asked for it is gone again
+    code = ("import os, pairsieve\n"
+            "print(len(os.listdir('/proc/self/task')), 'OPENBLAS_NUM_THREADS' in os.environ)")
+    assert _run_clean(code) == "1 False\n"
+
+
+@pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_import_keeps_a_chosen_thread_count(name):
+    code = ("import os, pairsieve\n"
+            f"print([os.environ.get(k) for k in {BLAS_THREAD_VARS!r}])")
+    expected = [("2" if k == name else None) for k in BLAS_THREAD_VARS]
+    assert _run_clean(code, **{name: "2"}) == f"{expected}\n"
+
+
+def test_import_after_numpy_leaves_environment_as_it_was():
+    code = ("import os\n"
+            "before = dict(os.environ)\n"
+            "import numpy, pairsieve\n"
+            "print(dict(os.environ) == before)")
+    assert _run_clean(code) == "True\n"
