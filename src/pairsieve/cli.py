@@ -39,7 +39,7 @@ import os
 import random
 import sys
 from types import MappingProxyType
-from typing import IO, Iterator, Optional
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -108,10 +108,11 @@ def _write_ints(out: IO[str], values: np.ndarray, sep: str) -> None:
         out.write((text if j < values.size else text[:-len(sep)]).decode("ascii"))
 
 
-#: Largest n that ``--oracle-check`` takes. Its Eratosthenes table holds a
-#: flag per integer up to n and the int64 primes, 1.45 bytes per integer
-#: (195 MB at 2^27, 1.4 GB at 1e9), and building it peaks near 1.9. A
-#: larger n is a usage error, found before any work.
+#: Largest n that ``--oracle-check`` takes, and largest ``selftest
+#: --max-n``. Its Eratosthenes table holds a flag per integer up to n and
+#: the int64 primes, 1.45 bytes per integer (195 MB at 2^27, 1.4 GB at
+#: 1e9), and building it peaks near 1.9. A larger n is a usage error,
+#: found before any work.
 _ORACLE_MAX_N = 1 << 27
 
 
@@ -354,11 +355,6 @@ Check = tuple[str, int, list[str]]
 _BATCH = 2000
 
 
-def _one(suite: str, failure: Optional[str]) -> Check:
-    """A batch of one check: None if it passed, else its counterexample."""
-    return suite, 1, [] if failure is None else [failure]
-
-
 def _pair_checks(max_n: int) -> Iterator[Check]:
     """Per even n: the three prime counts and the sieved pair list against
     the oracles, and the partition: the pair count against the list's
@@ -372,39 +368,50 @@ def _pair_checks(max_n: int) -> Iterator[Check]:
     equals brute force over a symmetric interval, so it is closed under
     x -> n - x without a check. One prime table serves every count and
     sieve, and one ``pair_counts_and_array`` pass per n, whose survivors
-    are made a list here."""
+    are made a list here.
+
+    Each suite keeps one tally, its check count and its counterexamples
+    in the order the checks ran, and is yielded once, after the last n:
+    a batch per suite rather than one per check, which at ``--max-n
+    2000`` would be 5,246 batches."""
     table = oracle.build_prime_table(max_n)
     sample = set(range(8, max_n + 1, 94)) | {8, 16, 100, max_n - max_n % 2}
+    equivalence, partition, symmetry = [], [], []  # the counterexamples of each suite
+    equivalence_checks = partition_checks = symmetry_checks = 0
     for n in range(8, max_n + 1, 2):
         expected = oracle.pi_oracle(table, n)
         for method in legendre.PRIME_METHODS:
             got = legendre.prime_count(n, method, table)
-            yield _one("oracle-equivalence", (
-                None if got == expected
-                else f"prime_count({n}, {method}) = {got}, oracle {expected}"))
+            if got != expected:
+                equivalence.append(f"prime_count({n}, {method}) = {got}, oracle {expected}")
         counts, survivors = xi.pair_counts_and_array(n, table)
         pairs = survivors.tolist()
         brute = oracle.goldbach_pairs_oracle(table, n, counts.interval)
-        yield _one("oracle-equivalence", (
-            None if pairs == brute else f"pair list at n={n} disagrees with brute force"))
-        yield _one("partition", (
-            None if counts.prime_pairs == len(pairs)
-            else f"prime_pairs {counts.prime_pairs} != list length {len(pairs)} at n={n}"))
+        if pairs != brute:
+            equivalence.append(f"pair list at n={n} disagrees with brute force")
+        if counts.prime_pairs != len(pairs):
+            partition.append(f"prime_pairs {counts.prime_pairs} != list length {len(pairs)} "
+                             f"at n={n}")
+        equivalence_checks += len(legendre.PRIME_METHODS) + 1
+        partition_checks += 1
         if n not in sample:
             continue
         # the list half of the same pass as its own public call; kept, with
         # its check count, so a traced run still records a prime_pair_list span
-        yield _one("oracle-equivalence", (
-            None if xi.prime_pair_list(n, table) == brute
-            else f"prime_pair_list({n}) disagrees with brute force"))
+        if xi.prime_pair_list(n, table) != brute:
+            equivalence.append(f"prime_pair_list({n}) disagrees with brute force")
+        equivalence_checks += 1
         for p in legendre.make_basis(n, table):
             # class m of [1, n - 1] is the multiples of p in [1 + p - m, n - 1 + p - m]
             m = n % p
             fwd = legendre.count_multiples(1, n - 1, p)
             bwd = legendre.count_multiples(1 + p - m, n - 1 + p - m, p)
-            yield _one("symmetry", (
-                None if fwd == bwd and theta_sin_shift(n, m, p)
-                else f"divisor-count symmetry broken: n={n}, p={p}, m={m}"))
+            if not (fwd == bwd and theta_sin_shift(n, m, p)):
+                symmetry.append(f"divisor-count symmetry broken: n={n}, p={p}, m={m}")
+            symmetry_checks += 1
+    yield "oracle-equivalence", equivalence_checks, equivalence
+    yield "partition", partition_checks, partition
+    yield "symmetry", symmetry_checks, symmetry
 
 
 def _words(rng: random.Random, k: int) -> np.ndarray:
@@ -457,7 +464,7 @@ def _identity_checks(rng: random.Random) -> Iterator[Check]:
     yield "identity", len(sums), [f"sum identity broken at x={x!r}, y={y!r}"
                                   for x, y, lhs, rhs in sums if lhs != rhs]
     lhs, rhs = theta_sum_identity(1, -1)
-    yield _one("identity", None if lhs != rhs else "sum identity unexpectedly held at (1, -1)")
+    yield "identity", 1, [] if lhs != rhs else ["sum identity unexpectedly held at (1, -1)"]
 
 
 def _agreement(x: np.ndarray, d: np.ndarray, mode: ThetaMode) -> Check:
@@ -494,6 +501,8 @@ def cmd_selftest(args: argparse.Namespace, out: IO[str]) -> int:
     mode = float_approx(args.epsilon)
     if args.max_n < 100:
         raise ValueError(f"--max-n must be >= 100, got {args.max_n}")
+    if args.max_n > _ORACLE_MAX_N:
+        raise ValueError(f"--max-n must be <= {_ORACLE_MAX_N}, got {args.max_n}")
     rng = random.Random(20240901)
     checks = dict.fromkeys(SUITES, 0)
     failures: dict[str, list[str]] = {name: [] for name in SUITES}

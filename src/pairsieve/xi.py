@@ -104,9 +104,9 @@ class PairCounts:
     prime_pairs: int
 
     def __post_init__(self) -> None:
-        if min(self.hat, self.tilde, self.prime_pairs) < 0:
+        if self.hat < 0 or self.tilde < 0 or self.prime_pairs < 0:
             raise ValueError("counts must be nonnegative")
-        if self.hat + self.tilde + self.prime_pairs != self.length:
+        if self.hat + self.tilde + self.prime_pairs != self.interval[1] - self.interval[0] + 1:
             raise ValueError("hat + tilde + prime_pairs must equal interval length")
 
     @property
@@ -180,8 +180,7 @@ def make_residue_basis(
         Inclusive override; defaults to ``default_interval(n)``.
     """
     _require_even(n, 8)  # the pair sieve's domain
-    return ResidueBasis(n=n, interval=interval or default_interval(n),
-                        primes=make_basis(n, table))
+    return ResidueBasis(n, interval or default_interval(n), make_basis(n, table))
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +320,7 @@ def _sieve(
 
 def _partition(basis: ResidueBasis, hat: int, composite: int) -> PairCounts:
     a, b = basis.interval
-    return PairCounts(n=basis.n, interval=basis.interval, hat=hat, tilde=composite - hat,
-                      prime_pairs=b - a + 1 - composite)
+    return PairCounts(basis.n, basis.interval, hat, composite - hat, b - a + 1 - composite)
 
 
 def tilde_composite_pairs(basis: ResidueBasis) -> int:

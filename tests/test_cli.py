@@ -544,6 +544,54 @@ class TestSelftest:
         code, _, _ = run(capsys, "selftest", "--max-n", "50")
         assert code == 2
 
+    # a --max-n past the oracle table's budget is refused before any table
+    # is built; at the budget itself the command goes on to build its table
+    def test_max_n_past_the_budget_exits_2_first(self, capsys, monkeypatch):
+        class TableBuilt(Exception):
+            pass
+
+        def no_table(*args):
+            raise TableBuilt
+        monkeypatch.setattr(oracle, "build_prime_table", no_table)
+        for n in (cli._ORACLE_MAX_N + 2, 10**9):
+            code, out, err = run(capsys, "selftest", "--max-n", str(n))
+            assert code == 2 and out == ""
+            assert err == f"error: --max-n must be <= {cli._ORACLE_MAX_N}, got {n}\n"
+        with pytest.raises(TableBuilt):
+            main(["selftest", "--max-n", str(cli._ORACLE_MAX_N)])
+
+    # each suite keeps its counterexamples in the order its checks ran:
+    # with an engine wrong at two n, the smaller is named first, the check
+    # counts are those of a passing run and every other suite stays ok
+    def test_first_counterexample_is_the_first_failing_n(self, capsys, monkeypatch):
+        count = legendre.prime_count
+        monkeypatch.setattr(legendre, "prime_count", lambda n, method="legendre", table=None:
+                            count(n, method, table) + (method == "theta-sum" and n in (500, 1000)))
+        code, out, _ = run(capsys, "selftest", "--max-n", "2000")
+        assert code == 1 and out.count("[ok]") == 4
+        assert "oracle-equivalence: 4013 checks, 2 failures [FAIL]\n" \
+               "  first counterexample: prime_count(500, theta-sum) = 96, oracle 95\n" \
+               "partition: 997 checks, 0 failures [ok]\n" in out
+
+    def test_first_partition_counterexample_is_the_first_failing_n(self, capsys, monkeypatch):
+        # the count moves one position from hat to the prime pairs at two n,
+        # so it still partitions the interval but no longer matches the list
+        both = xi.pair_counts_and_array
+
+        def shifted(n, table, interval=None):
+            counts, survivors = both(n, table, interval)
+            if n in (500, 1000):
+                counts = xi.PairCounts(n, counts.interval, counts.hat - 1, counts.tilde,
+                                       counts.prime_pairs + 1)
+            return counts, survivors
+        monkeypatch.setattr(xi, "pair_counts_and_array", shifted)
+        code, out, _ = run(capsys, "selftest", "--max-n", "2000")
+        assert code == 1 and out.count("[ok]") == 4
+        assert "oracle-equivalence: 4013 checks, 0 failures [ok]\n" \
+               "partition: 997 checks, 2 failures [FAIL]\n" \
+               "  first counterexample: prime_pairs 25 != list length 24 at n=500\n" \
+               "symmetry: 235 checks, 0 failures [ok]\n" in out
+
     def test_float_mode(self, capsys):
         code, _, _ = run(capsys, "selftest", "--max-n", "200", "--epsilon", "1e-8")
         assert code == 0

@@ -353,6 +353,13 @@ class TestMarkingKernel:
         with pytest.raises(ValueError):
             list(legendre._mark_blocks(5, 4, [([3], [0])], 0))
 
+    # a blank shorter than a block would start the blocks short, or, one
+    # mark long, broadcast over them
+    @pytest.mark.parametrize("length", [1, 4])
+    def test_blank_shorter_than_a_block_is_rejected(self, length):
+        with pytest.raises(ValueError, match="blank must hold"):
+            list(legendre._mark_blocks(0, 9, [([3], [0])], 5, np.zeros(length, dtype=bool)))
+
 
 def _odd_prime_flags(n):
     return legendre._odd_prime_flags(n, build_prime_table(max(math.isqrt(n), 1)).primes.tolist())
